@@ -229,6 +229,8 @@ def _parse_slope(p: int, text: str) -> SlopeClass:
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     s = _parse_slope(args.p, args.mu)
+    # render before printing, so that a picture out of range fails with no output
+    svg = lattice_svg(s, args.extent) if args.svg else None
     basis = lambda_mu(s)
     red = gauss_reduce(basis)
     data = voronoi_cell(basis)
@@ -246,23 +248,25 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             f"{_fmt_vec(e)}, {_fmt_vec(f)}" for e, f in bases.bases()
         )
         print(f"windmill bases ({bases.count}): {listed}")
+        partner, sol = fast_solution_for_pair(s)
         if bases.color is Color.BLACK:
-            sol = fast_solution_for_pair(s)[1]
             print(
                 f"standard solution: ({sol.a}, {sol.b}, {sol.c}, {sol.d})"
                 f"   [{s.p} = {sol.a}*{sol.b} + {sol.c}*{sol.d}]"
             )
         else:
-            mu_star = fast_solution_for_pair(s)[0].mu
-            print(f"standard solution: none (black partner: mu = {mu_star})")
-    if args.svg:
-        lattice_svg(s, args.extent).write(args.svg)
+            print(f"standard solution: none (black partner: mu = {partner.mu})")
+    if svg is not None:
+        svg.write(args.svg)
         print(f"wrote {args.svg}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     jobs = args.jobs if args.jobs else int(os.environ.get("WINDMILL_JOBS", "1"))
+    if jobs < 1:
+        raise ValueError(f"--jobs and WINDMILL_JOBS must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     t0 = time.perf_counter()
     checked, failures = run_verify(args.mode, args.max_p, jobs)
     elapsed = time.perf_counter() - t0

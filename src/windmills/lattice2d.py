@@ -267,7 +267,14 @@ def _edge_intersection(w1: IVec2, w2: IVec2) -> Vertex:
     return (Fraction(n1 * w2.y - n2 * w1.y, d), Fraction(n2 * w1.x - n1 * w2.x, d))
 
 
-def _voronoi_data(b: LatticeBasis) -> VoronoiData:
+def voronoi_cell(b: LatticeBasis) -> VoronoiData:
+    """Voronoi vectors and the exact Voronoi cell of the origin.
+
+    The vectors are the reduced pair, plus the short diagonal in the
+    non-orthogonal case, one canonical representative per +- pair; the cell is
+    bounded by 2<x, w> <= <w, w> over them.  voronoi_vectors is the same
+    function under a second name.
+    """
     vecs = _voronoi_vectors_raw(b)
     normals = _sorted_ccw(vecs + [-w for w in vecs])
     k = len(normals)
@@ -287,15 +294,7 @@ def _voronoi_data(b: LatticeBasis) -> VoronoiData:
     return VoronoiData(tuple(vecs), tuple(verts))
 
 
-def voronoi_vectors(b: LatticeBasis) -> VoronoiData:
-    """Voronoi vectors of the lattice: the reduced pair, plus the short diagonal
-    in the non-orthogonal case, one canonical representative per +- pair."""
-    return _voronoi_data(b)
-
-
-def voronoi_cell(b: LatticeBasis) -> VoronoiData:
-    """The exact Voronoi cell of the origin, bounded by 2<x, w> <= <w, w>."""
-    return _voronoi_data(b)
+voronoi_vectors = voronoi_cell
 
 
 def interlaced(f1: IVec2, f2: IVec2, g1: IVec2, g2: IVec2) -> bool:

@@ -32,7 +32,7 @@ _POINT_FILL = "#000000"
 _REDUCED_EDGE = "#2b6cb0"
 _STANDARD_EDGE = "#c53030"
 
-_MAX_TILING_EXTENT = 50
+_MAX_EXTENT = 50  # tiles or lattice units per direction, for both pictures
 _MAX_LATTICE_P = 1000
 
 
@@ -68,8 +68,8 @@ def tiling_svg(sol: Solution, extent: int) -> SvgDocument:
     and (-d, b) interlock without overlap.  Degenerate solutions with c*d = 0
     fall back to the single a x b brick.  extent counts tiles per direction.
     """
-    if not 1 <= extent <= _MAX_TILING_EXTENT:
-        raise ValueError(f"extent must lie in [1, {_MAX_TILING_EXTENT}]")
+    if not 1 <= extent <= _MAX_EXTENT:
+        raise ValueError(f"extent must lie in [1, {_MAX_EXTENT}]")
     if not sol.is_valid():
         raise ValueError(f"{sol} is not a valid solution")
     a, b, c, d = sol.a, sol.b, sol.c, sol.d
@@ -115,8 +115,8 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
     basis when the slope carries one."""
     if s.p > _MAX_LATTICE_P:
         raise ValueError(f"lattice pictures are limited to p <= {_MAX_LATTICE_P}")
-    if extent < 1:
-        raise ValueError("extent must be positive")
+    if not 1 <= extent <= _MAX_EXTENT:
+        raise ValueError(f"extent must lie in [1, {_MAX_EXTENT}]")
     e = extent + 1  # canvas half-width in lattice units, one unit of margin
     size = 2 * e * SCALE
 

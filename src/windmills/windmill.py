@@ -6,6 +6,14 @@ windmill basis has both vectors in the open upper half-plane, one in each of
 the two upper cones of a single color.  A lattice of the slope family carries
 windmill bases of exactly one color, and the black ones encode decompositions
 p = a*b + c*d through the standard form u = (a, c), v = (-d, b).
+
+The work happens on plain integers in three layers: lattice2d._reduce_raw
+Lagrange-reduces the basis, _windmill_pair_raw picks the windmill pair among
+the Voronoi vectors of the reduced basis, and _fast_solution_raw slides that
+pair to the standard basis.  The object API (find_windmill_basis,
+all_windmill_bases, standard_black_basis, fast_solution_for_pair) wraps these
+layers; classify_cone is the public classifier over the whole plane and stays
+off the hot path.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from .lattice2d import (
     LatticeBasis,
     SlopeClass,
     _reduce_raw,
-    _voronoi_vectors_raw,
     lambda_mu,
 )
 
@@ -123,31 +130,16 @@ def windmill_basis_color(e: IVec2, f: IVec2) -> Color | None:
     return None
 
 
-# Upper-cone codes for the integer kernel: 1 ENE, 2 NNE, 3 NNW, 4 WNW, 0 other.
-def _upper_cone(x: int, y: int) -> int:
-    if y <= 0:
-        return 0
-    if x > y:
-        return 1
-    if x > 0:
-        return 2 if x < y else 0
-    if x == 0:
-        return 0
-    if -x < y:
-        return 3
-    return 4 if -x > y else 0
-
-
 # Linear forms strictly positive on each open upper cone.
 _CONE_FORMS = {
-    1: ((0, 1), (1, -1)),  # ENE:  y > 0,  x - y > 0
-    2: ((1, 0), (-1, 1)),  # NNE:  x > 0,  y - x > 0
-    3: ((-1, 0), (1, 1)),  # NNW: -x > 0,  x + y > 0
-    4: ((0, 1), (-1, -1)),  # WNW:  y > 0, -x - y > 0
+    Cone.ENE: ((0, 1), (1, -1)),  # y > 0,  x - y > 0
+    Cone.NNE: ((1, 0), (-1, 1)),  # x > 0,  y - x > 0
+    Cone.NNW: ((-1, 0), (1, 1)),  # -x > 0,  x + y > 0
+    Cone.WNW: ((0, 1), (-1, -1)),  # y > 0, -x - y > 0
 }
 
 
-def _cone_interval(wx: int, wy: int, dx: int, dy: int, cone: int) -> tuple[int, int]:
+def _cone_interval(wx: int, wy: int, dx: int, dy: int, cone: Cone) -> tuple[int, int]:
     """Integer shift range [lo, hi] keeping w + s*d strictly inside the open cone.
 
     Finite because d must avoid both boundary lines of the cone, which holds
@@ -172,82 +164,13 @@ def _cone_interval(wx: int, wy: int, dx: int, dy: int, cone: int) -> tuple[int, 
     return lo, hi
 
 
-def find_windmill_basis(b: LatticeBasis) -> tuple[LatticeBasis, Color] | None:
-    """One windmill basis drawn from the Voronoi vectors, or None.
-
-    Complete: a lattice admitting any windmill basis has one among its Voronoi
-    vectors, so a miss means the lattice has no windmill basis at all.
-    """
-    ene = nne = nnw = wnw = None
-    for w in _voronoi_vectors_raw(b):
-        c = _upper_cone(w.x, w.y)
-        if c == 1 and ene is None:
-            ene = w
-        elif c == 2 and nne is None:
-            nne = w
-        elif c == 3 and nnw is None:
-            nnw = w
-        elif c == 4 and wnw is None:
-            wnw = w
-    if ene is not None and nnw is not None:
-        return LatticeBasis(ene, nnw), Color.BLACK
-    if nne is not None and wnw is not None:
-        return LatticeBasis(nne, wnw), Color.WHITE
-    return None
-
-
-def all_windmill_bases(b: LatticeBasis) -> WindmillBasisSet | None:
-    """The complete set of windmill bases of the lattice, or None if it has none.
-
-    Starting from one found basis (u0, v0), every further basis replaces one of
-    the two vectors by a translate along the other that stays inside its cone;
-    only one of the two translate families can be nontrivial.
-    """
-    found = find_windmill_basis(b)
-    if found is None:
-        return None
-    basis, color = found
-    u0, v0 = basis.u, basis.v
-    lo_u, hi_u = _cone_interval(u0.x, u0.y, v0.x, v0.y, _upper_cone(u0.x, u0.y))
-    lo_v, hi_v = _cone_interval(v0.x, v0.y, u0.x, u0.y, _upper_cone(v0.x, v0.y))
-    count_u = hi_u - lo_u + 1
-    count_v = hi_v - lo_v + 1
-    assert count_u == 1 or count_v == 1, "windmill bases must share a common element"
-    if count_u == 1 and count_v == 1:
-        return WindmillBasisSet(color, u0, v0, 1)
-    if count_v > 1:
-        return WindmillBasisSet(color, u0, v0 + lo_v * u0, count_v)
-    return WindmillBasisSet(color, v0, u0 + lo_u * v0, count_u)
-
-
-def _require_generic_slope(s: SlopeClass) -> tuple[int, int]:
-    if s.is_infinity or s.mu in (0, 1, s.p - 1):
-        raise ValueError(
-            f"slope {'infinity' if s.is_infinity else s.mu} of p = {s.p} carries "
-            "no windmill basis; mu must lie in [2, p-2]"
-        )
-    return s.p, s.mu
-
-
-def _standard_from_black(ux: int, uy: int, vx: int, vy: int, p: int) -> tuple[int, int, int, int]:
-    # u in ENE, v in NNW.  Slide u to the lowest vector of its translate family
-    # and v to the rightmost of its family; at most one slide can be nontrivial,
-    # and the result is the standard basis u = (a, c), v = (-d, b).
-    lo = -((uy - 1) // vy)
-    a = ux + lo * vx
-    c = uy + lo * vy
-    hi = (-vx - 1) // ux
-    b = vy + hi * uy
-    d = -(vx + hi * ux)
-    assert a * b + c * d == p and min(a, b) > max(c, d) >= 0, (a, b, c, d, p)
-    return a, b, c, d
-
-
-def _fast_solution_raw(p: int, mu: int) -> tuple[int, tuple[int, int, int, int]]:
-    # Inlined hot path: reduce the slope basis, pick a windmill pair among the
-    # Voronoi vectors, reflect white lattices onto the mirror slope p - mu, and
-    # slide to the standard basis.  Everything runs on plain integers.
-    ax, ay, bx, by = _reduce_raw(p, 0, -mu, 1)
+def _windmill_pair_raw(
+    ax: int, ay: int, bx: int, by: int
+) -> tuple[bool, tuple[int, int], tuple[int, int]] | None:
+    # The cone pick on a Lagrange-reduced basis: scan the Voronoi vectors (the
+    # reduced pair, plus the short diagonal when it is not orthogonal) in the
+    # upper half-plane and return (True, ENE, NNW) for a black pair, (False,
+    # NNE, WNW) for a white one, or None.  The first vector met in a cone wins.
     dot = ax * bx + ay * by
     if dot > 0:
         cand = ((ax, ay), (bx, by), (ax - bx, ay - by))
@@ -276,15 +199,71 @@ def _fast_solution_raw(p: int, mu: int) -> tuple[int, tuple[int, int, int, int]]
                 if wnw is None:
                     wnw = (x, y)
     if ene is not None and nnw is not None:
-        mu_star = mu
-        ux, uy = ene
-        vx, vy = nnw
-    else:
-        # white pair; the reflection (x, y) -> (-x, y) maps the lattice onto
-        # the slope p - mu and swaps cone colors
-        mu_star = p - mu
-        ux, uy = -wnw[0], wnw[1]
-        vx, vy = -nne[0], nne[1]
+        return True, ene, nnw
+    if nne is not None and wnw is not None:
+        return False, nne, wnw
+    return None
+
+
+def find_windmill_basis(b: LatticeBasis) -> tuple[LatticeBasis, Color] | None:
+    """One windmill basis drawn from the Voronoi vectors, or None.
+
+    Complete: a lattice admitting any windmill basis has one among its Voronoi
+    vectors, so a miss means the lattice has no windmill basis at all.
+    """
+    pair = _windmill_pair_raw(*_reduce_raw(b.u.x, b.u.y, b.v.x, b.v.y))
+    if pair is None:
+        return None
+    black, u, v = pair
+    return LatticeBasis(IVec2(*u), IVec2(*v)), Color.BLACK if black else Color.WHITE
+
+
+def all_windmill_bases(b: LatticeBasis) -> WindmillBasisSet | None:
+    """The complete set of windmill bases of the lattice, or None if it has none.
+
+    Starting from one found basis (u0, v0), every further basis replaces one of
+    the two vectors by a translate along the other that stays inside its cone;
+    only one of the two translate families can be nontrivial.
+    """
+    found = find_windmill_basis(b)
+    if found is None:
+        return None
+    basis, color = found
+    u0, v0 = basis.u, basis.v
+    cone_u, cone_v = (Cone.ENE, Cone.NNW) if color is Color.BLACK else (Cone.NNE, Cone.WNW)
+    lo_u, hi_u = _cone_interval(u0.x, u0.y, v0.x, v0.y, cone_u)
+    lo_v, hi_v = _cone_interval(v0.x, v0.y, u0.x, u0.y, cone_v)
+    count_u = hi_u - lo_u + 1
+    count_v = hi_v - lo_v + 1
+    assert count_u == 1 or count_v == 1, "windmill bases must share a common element"
+    if count_u == 1 and count_v == 1:
+        return WindmillBasisSet(color, u0, v0, 1)
+    if count_v > 1:
+        return WindmillBasisSet(color, u0, v0 + lo_v * u0, count_v)
+    return WindmillBasisSet(color, v0, u0 + lo_u * v0, count_u)
+
+
+def _require_generic_slope(s: SlopeClass) -> tuple[int, int]:
+    if s.is_infinity or s.mu in (0, 1, s.p - 1):
+        raise ValueError(
+            f"slope {'infinity' if s.is_infinity else s.mu} of p = {s.p} carries "
+            "no windmill basis; mu must lie in [2, p-2]"
+        )
+    return s.p, s.mu
+
+
+def _fast_solution_raw(p: int, mu: int) -> tuple[int, tuple[int, int, int, int]]:
+    # Reduce the slope basis, pick its windmill pair, reflect white lattices
+    # onto the mirror slope p - mu, and slide to the standard basis.
+    black, (ux, uy), (vx, vy) = _windmill_pair_raw(*_reduce_raw(p, 0, -mu, 1))
+    if not black:
+        # (x, y) -> (-x, y) maps the lattice onto the slope p - mu and swaps
+        # cone colors: WNW goes to ENE and NNE to NNW
+        mu = p - mu
+        ux, uy, vx, vy = -vx, vy, -ux, uy
+    # Slide u to the lowest vector of its translate family and v to the
+    # rightmost of its family; at most one slide can be nontrivial, and the
+    # result is the standard basis u = (a, c), v = (-d, b).
     lo = -((uy - 1) // vy)
     a = ux + lo * vx
     c = uy + lo * vy
@@ -292,7 +271,7 @@ def _fast_solution_raw(p: int, mu: int) -> tuple[int, tuple[int, int, int, int]]
     b = vy + hi * uy
     d = -(vx + hi * ux)
     assert a * b + c * d == p and min(a, b) > max(c, d) >= 0, (p, mu)
-    return mu_star, (a, b, c, d)
+    return mu, (a, b, c, d)
 
 
 def standard_black_basis(s: SlopeClass) -> Solution | None:
@@ -303,13 +282,19 @@ def standard_black_basis(s: SlopeClass) -> Solution | None:
     and the rightmost one of the N-NW cone.
     """
     p, _ = _require_generic_slope(s)
-    found = find_windmill_basis(lambda_mu(s))
-    assert found is not None, "every slope in [2, p-2] has a windmill basis"
-    basis, color = found
-    if color is Color.WHITE:
+    ws = all_windmill_bases(lambda_mu(s))
+    assert ws is not None, "every slope in [2, p-2] has a windmill basis"
+    if ws.color is Color.WHITE:
         return None
-    u, v = basis.u, basis.v
-    return Solution(*_standard_from_black(u.x, u.y, v.x, v.y, p), p)
+    # With m in ENE the NNW translates f + k*m move right as k grows, so the
+    # last one is standard; with m in NNW the ENE translates move up, so f is.
+    if classify_cone(ws.m) is Cone.ENE:
+        u, v = ws.m, ws.f + (ws.count - 1) * ws.m
+    else:
+        u, v = ws.f, ws.m
+    sol = Solution(u.x, v.y, u.y, -v.x, p)
+    assert sol.is_valid(), sol
+    return sol
 
 
 def fast_solution_for_pair(s: SlopeClass) -> tuple[SlopeClass, Solution]:

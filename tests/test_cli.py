@@ -129,6 +129,15 @@ class TestLattice:
         assert code == 0
         assert target.exists() and target.read_text().startswith("<svg")
 
+    def test_rejects_svg_extent_above_cap(self, capsys, tmp_path):
+        target = tmp_path / "lattice.svg"
+        code, out, err = run(
+            ["lattice", "13", "7", "--svg", str(target), "--extent", "51"], capsys
+        )
+        assert code == 2
+        assert "extent must lie in [1, 50]" in err
+        assert out == "" and not target.exists()
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -158,6 +167,28 @@ class TestVerify:
         assert payload["results"]["failures"] == []
         report = cli.Report.from_json(out)
         assert report.command == "verify"
+
+    @pytest.mark.parametrize("flag,env", [(["--jobs", "-3"], None), ([], "-1")])
+    def test_rejects_jobs_below_one(self, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("WINDMILL_JOBS", env)
+        code, out, err = run(["verify", "--max-p", "30", "--mode", "count", *flag], capsys)
+        assert code == 2
+        assert "at least 1" in err and out == ""
+
+    def test_clamps_jobs_to_cpu_count(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single job must not start a pool")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli, "Pool", no_pool)
+        code, out, _ = run(
+            ["verify", "--max-p", "30", "--mode", "count", "--jobs", "1000000",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["inputs"]["jobs"] == 1
 
     def test_rejects_out_of_cap_bound(self, capsys):
         code, _, err = run(

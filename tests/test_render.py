@@ -129,6 +129,11 @@ class TestLatticeSvg:
         with pytest.raises(ValueError):
             lattice_svg(SlopeClass(13, 7), 0)
 
+    def test_extent_shares_the_tiling_cap(self):
+        lattice_svg(SlopeClass(13, 7), 50)
+        with pytest.raises(ValueError, match=r"\[1, 50\]"):
+            lattice_svg(SlopeClass(13, 7), 51)
+
     def test_infinity_slope(self):
         s = SlopeClass.infinity(5)
         doc = lattice_svg(s, 6)

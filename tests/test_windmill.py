@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bf_windmill_bases, odd_primes
+from oracles import basis_points, bf_windmill_bases, odd_primes
 from windmills.lattice2d import (
     IVec2,
     LatticeBasis,
@@ -191,6 +191,53 @@ class TestAllWindmillBases:
                 ws = all_windmill_bases(b)
                 if ws is not None and ws.count >= 2:
                     assert pm(ws.m) == pm(minimal_vector(b))
+
+
+def bf_general_windmill_bases(ux: int, uy: int, vx: int, vy: int):
+    """Black and white windmill bases of Z*u + Z*v by exhaustive pair search.
+
+    A windmill pair (e, f) with |cross| = D has every coordinate within
+    [-D, D], so scanning that window finds all of them.
+    """
+    d = abs(ux * vy - uy * vx)
+    pts = basis_points(ux, uy, vx, vy, d)
+    ene = [w for w in pts if 0 < w[1] < w[0]]
+    nne = [w for w in pts if 0 < w[0] < w[1]]
+    nnw = [w for w in pts if 0 < -w[0] < w[1]]
+    wnw = [w for w in pts if 0 < w[1] < -w[0]]
+
+    def pairs(first, second):
+        return {
+            frozenset((e, f))
+            for e in first
+            for f in second
+            if abs(e[0] * f[1] - e[1] * f[0]) == d
+        }
+
+    return pairs(ene, nnw), pairs(nne, wnw)
+
+
+class TestGeneralLattices:
+    @given(
+        coords=st.tuples(*[st.integers(min_value=-6, max_value=6)] * 4).filter(
+            lambda c: c[0] * c[3] != c[1] * c[2]
+        )
+    )
+    def test_search_equals_bruteforce(self, coords):
+        ux, uy, vx, vy = coords
+        b = LatticeBasis(V(ux, uy), V(vx, vy))
+        black, white = bf_general_windmill_bases(ux, uy, vx, vy)
+        assert not (black and white)
+        found = find_windmill_basis(b)
+        ws = all_windmill_bases(b)
+        if not (black or white):
+            assert found is None and ws is None
+            return
+        color, expected = (Color.BLACK, black) if black else (Color.WHITE, white)
+        assert found is not None and found[1] is color
+        assert pair_key(found[0].u, found[0].v) in expected
+        assert ws is not None and ws.color is color
+        assert {pair_key(e, f) for e, f in ws.bases()} == expected
 
 
 class TestStandardBlackBasis:
