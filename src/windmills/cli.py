@@ -150,6 +150,8 @@ def check_irreducible(n: int) -> str | None:
         return f"n={n}: formula {count} != enumeration {len(listed)}"
     if any(not m.is_valid() for m in listed):
         return f"n={n}: enumeration produced an invalid matrix"
+    if len(set(listed)) != len(listed):
+        return f"n={n}: enumeration produced a duplicate matrix"
     return None
 
 
@@ -263,7 +265,16 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    jobs = args.jobs if args.jobs else int(os.environ.get("WINDMILL_JOBS", "1"))
+    if args.jobs:
+        jobs = args.jobs
+    else:
+        env = os.environ.get("WINDMILL_JOBS", "1")
+        try:
+            jobs = int(env, 10)
+        except ValueError:
+            raise ValueError(
+                f"WINDMILL_JOBS must be a positive decimal integer, got {env!r}"
+            ) from None
     if jobs < 1:
         raise ValueError(f"--jobs and WINDMILL_JOBS must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
@@ -287,10 +298,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_irreducible(args: argparse.Namespace) -> int:
-    print(irreducible_count(args.n))
-    if args.list:
-        for m in irreducible_enumerate(args.n):
-            print(f"{m.a} {m.b} {m.c} {m.d}")
+    count = irreducible_count(args.n)
+    # enumerate before printing, so that a refused listing prints nothing
+    listed = irreducible_enumerate(args.n) if args.list else []
+    print(count)
+    for m in listed:
+        print(f"{m.a} {m.b} {m.c} {m.d}")
     return EXIT_OK
 
 

@@ -43,6 +43,11 @@ class IrreducibleMatrix(NamedTuple):
 def enumerate_bruteforce(p: int) -> set[Solution]:
     """All of S_p by direct scan over (c, d) and divisor pairs of p - c*d.
 
+    S_p is closed under the swaps a <-> b and c <-> d, so the scan visits only
+    c <= d and adds all four orders of each hit.  Both of a, b must exceed d,
+    so a*b = p - c*d > d*d; that bound fails for good once it fails, because
+    p - c*d falls and d*d grows with d, and it ends the inner scan.
+
     Independent of the lattice machinery; the oracle side of the dual route.
     """
     _require_odd_prime(p)
@@ -51,17 +56,17 @@ def enumerate_bruteforce(p: int) -> set[Solution]:
     sols = set()
     top = isqrt(p)
     for c in range(top + 1):
-        for d in range(top + 1):
-            m = c if c > d else d
+        for d in range(c, top + 1):
             r = p - c * d
-            if r <= m * m:  # both of a, b must exceed m, so a*b > m*m
-                continue
-            for a in range(m + 1, isqrt(r) + 1):
+            if r <= d * d:
+                break
+            for a in range(d + 1, isqrt(r) + 1):
                 if r % a == 0:
                     b = r // a
                     sols.add(Solution(a, b, c, d, p))
-                    if a != b:
-                        sols.add(Solution(b, a, c, d, p))
+                    sols.add(Solution(b, a, c, d, p))
+                    sols.add(Solution(a, b, d, c, p))
+                    sols.add(Solution(b, a, d, c, p))
     return sols
 
 
@@ -146,20 +151,28 @@ def irreducible_count(n: int) -> int:
 
 def irreducible_enumerate(n: int) -> list[IrreducibleMatrix]:
     """All irreducible matrices of determinant n, scanning the off-diagonal and
-    splitting n + b*c into diagonal divisor pairs."""
+    splitting n + b*c into diagonal divisor pairs.
+
+    Transposing swaps b and c and keeps a matrix irreducible, so the scan runs
+    over m = max(b, c) and k = min(b, c) and emits both (b, c) = (m, k) and
+    (k, m).  Both of a, d must exceed m, so a*d = n + m*k > m*m: k starts at
+    the least value meeting that bound.  The scan over m ends at (n - 1)//2,
+    since a*d = n + m*k >= (m + 1)**2 with k <= m needs n >= 2m + 1.
+    """
     if not 1 <= n <= _ENUM_LIMIT:
         raise ValueError(f"enumeration is limited to n in [1, {_ENUM_LIMIT}]")
     out = []
-    off_top = (n - 1) // 2  # max(b, c) = m needs a*d = n + b*c > m*m, so n >= 2m + 1
-    for b in range(off_top + 1):
-        for c in range(off_top + 1):
-            m = b if b > c else c
-            r = n + b * c
+    for m in range((n - 1) // 2 + 1):
+        k_low = max(0, (m * m - n) // m + 1) if m else 0
+        for k in range(k_low, m + 1):
+            offs = ((m, k), (k, m)) if k != m else ((m, m),)
+            r = n + m * k
             for a in range(m + 1, isqrt(r) + 1):
                 if r % a == 0:
                     d = r // a
-                    out.append(IrreducibleMatrix(a, b, c, d, n))
-                    if a != d:
-                        out.append(IrreducibleMatrix(d, b, c, a, n))
+                    for b, c in offs:
+                        out.append(IrreducibleMatrix(a, b, c, d, n))
+                        if a != d:
+                            out.append(IrreducibleMatrix(d, b, c, a, n))
     out.sort()
     return out

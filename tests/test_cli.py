@@ -176,6 +176,23 @@ class TestVerify:
         assert code == 2
         assert "at least 1" in err and out == ""
 
+    def test_rejects_non_numeric_jobs_env(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a refused job count must not start a pool")
+
+        monkeypatch.setattr(cli, "Pool", no_pool)
+        monkeypatch.setenv("WINDMILL_JOBS", "abc")
+        code, out, err = run(["verify", "--max-p", "30", "--mode", "count"], capsys)
+        assert code == 2 and out == ""
+        assert "WINDMILL_JOBS" in err and "positive decimal integer" in err
+
+    def test_irreducible_reports_duplicate_listing(self, monkeypatch):
+        real = cli.irreducible_enumerate(6)
+        # right length and every matrix valid, but one repeated in place of another
+        monkeypatch.setattr(cli, "irreducible_enumerate", lambda n: real[:-1] + real[:1])
+        message = cli.check_irreducible(6)
+        assert message is not None and "duplicate" in message
+
     def test_clamps_jobs_to_cpu_count(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a single job must not start a pool")
@@ -212,8 +229,21 @@ class TestIrreducible:
         assert code == 0
         assert out.splitlines() == ["1", "1 0 0 1"]
 
+    def test_list_n6(self, capsys):
+        code, out, _ = run(["irreducible", "6", "--list"], capsys)
+        assert code == 0
+        assert out == (
+            "8\n1 0 0 6\n2 0 0 3\n2 0 1 3\n2 1 0 3\n"
+            "3 0 0 2\n3 0 1 2\n3 1 0 2\n6 0 0 1\n"
+        )
+
     def test_rejects_zero(self, capsys):
         assert run(["irreducible", "0"], capsys)[0] == 2
+
+    def test_refused_listing_prints_nothing(self, capsys):
+        code, out, err = run(["irreducible", "10001", "--list"], capsys)
+        assert code == 2 and out == ""
+        assert "enumeration is limited" in err
 
 
 class TestTiling:

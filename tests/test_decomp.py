@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,45 @@ from windmills.windmill import Solution
 
 def orbit_set(entries: list[OrbitEntry]) -> set:
     return {(e.rep.key, e.size) for e in entries}
+
+
+def _full_square_bruteforce(p: int) -> set[Solution]:
+    # the scan over every (c, d) in [0, isqrt(p)]**2, kept as the reference
+    # for the symmetric scan that visits only c <= d
+    sols = set()
+    top = isqrt(p)
+    for c in range(top + 1):
+        for d in range(top + 1):
+            m = c if c > d else d
+            r = p - c * d
+            if r <= m * m:
+                continue
+            for a in range(m + 1, isqrt(r) + 1):
+                if r % a == 0:
+                    b = r // a
+                    sols.add(Solution(a, b, c, d, p))
+                    if a != b:
+                        sols.add(Solution(b, a, c, d, p))
+    return sols
+
+
+def _full_square_irreducible(n: int) -> list[IrreducibleMatrix]:
+    # the scan over every (b, c) in [0, (n-1)//2]**2, kept as the reference
+    # for the pruned scan over m = max(b, c)
+    out = []
+    off_top = (n - 1) // 2
+    for b in range(off_top + 1):
+        for c in range(off_top + 1):
+            m = b if b > c else c
+            r = n + b * c
+            for a in range(m + 1, isqrt(r) + 1):
+                if r % a == 0:
+                    d = r // a
+                    out.append(IrreducibleMatrix(a, b, c, d, n))
+                    if a != d:
+                        out.append(IrreducibleMatrix(d, b, c, a, n))
+    out.sort()
+    return out
 
 
 class TestEnumerateBruteforce:
@@ -46,6 +87,11 @@ class TestEnumerateBruteforce:
     def test_count_matches_closed_form_small(self):
         for p in odd_primes(1000):
             assert len(enumerate_bruteforce(p)) == (p + 1) // 2
+
+    def test_equals_full_square_scan(self):
+        # 99989 = 1 and 99991 = 3 (mod 4): both residue classes at the top
+        for p in odd_primes(3000) + [99989, 99991]:
+            assert enumerate_bruteforce(p) == _full_square_bruteforce(p), p
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -207,6 +253,12 @@ class TestIrreducible:
             assert len(set(listed)) == len(listed)
             for m in listed:
                 assert m.is_valid()
+
+    def test_equals_full_square_scan(self):
+        # m*m and m*(m-1) make (m*m - n) % m == 0, the edge of the k bound
+        boundary = {m * m for m in range(1, 41)} | {m * (m - 1) for m in range(2, 41)}
+        for n in sorted(set(range(1, 301)) | boundary | {1968, 2000}):
+            assert irreducible_enumerate(n) == _full_square_irreducible(n), n
 
     def test_guards(self):
         with pytest.raises(ValueError):
