@@ -13,6 +13,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .decomp import (
+    _WALK_LIMIT,
     enumerate_bruteforce,
     enumerate_fast,
     irreducible_count,
@@ -156,7 +157,7 @@ def check_irreducible(n: int) -> str | None:
 
 
 _VERIFY_MODES = {
-    "count": (check_count, "primes", 10**6),
+    "count": (check_count, "primes", 10**5),
     "oracle": (check_oracle, "primes", 10**5),
     "color": (check_color, "primes", 10**5),
     "irreducible": (check_irreducible, "integers", 10**4),
@@ -184,31 +185,34 @@ def run_verify(mode: str, max_n: int, jobs: int = 1) -> tuple[int, list[str]]:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     p = args.p
     _require_odd_prime(p)
-    sols = sorted(enumerate_fast(p), key=lambda s: s.key, reverse=True)
-    orbits = vierergruppe_orbits(set(sols)) if args.orbits else None
+    found = enumerate_fast(p)
+    # p is the same in every solution, so the native order is the key order
+    sols = sorted(found, reverse=True)
+    orbits = vierergruppe_orbits(found) if args.orbits else None
     if args.format == "json":
         payload: dict = {"p": p, "count": len(sols), "solutions": [list(s.key) for s in sols]}
         if orbits is not None:
             payload["orbits"] = [{"rep": list(o.rep.key), "size": o.size} for o in orbits]
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    print(f"p = {p}")
-    print(f"count = {len(sols)}")
-    for s in sols:
-        print(f"{s.a} {s.b} {s.c} {s.d}")
+    lines = [f"p = {p}", f"count = {len(sols)}"]
+    lines += [f"{a} {b} {c} {d}" for a, b, c, d, _ in sols]
     if orbits is not None:
-        print("orbits (a b c d size):")
-        for o in orbits:
-            print(f"{o.rep.a} {o.rep.b} {o.rep.c} {o.rep.d} {o.size}")
-        print(f"total {sum(o.size for o in orbits)}")
+        lines.append("orbits (a b c d size):")
+        lines += [f"{o.rep.a} {o.rep.b} {o.rep.c} {o.rep.d} {o.size}" for o in orbits]
+        lines.append(f"total {sum(o.size for o in orbits)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_two_squares(args: argparse.Namespace) -> int:
     p = args.p
-    if args.method == "grace":
+    # by default cross-check both methods wherever the fixed point's walk is
+    # allowed, and take the O(log p) reduction alone above that
+    method = args.method or ("both" if p <= _WALK_LIMIT else "grace")
+    if method == "grace":
         a, b = two_squares_grace(p)
-    elif args.method == "fixed-point":
+    elif method == "fixed-point":
         a, b = two_squares_fixed_point(p)
     else:
         grace = two_squares_grace(p)
@@ -218,7 +222,7 @@ def _cmd_two_squares(args: argparse.Namespace) -> int:
             return EXIT_VIOLATION
         a, b = grace
     print(f"{a} {b}")
-    if args.method == "both":
+    if method == "both":
         print("agreement: grace == fixed-point")
     return EXIT_OK
 
@@ -335,7 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_two = sub.add_parser("two-squares", help="write p = 1 (mod 4) as a sum of two squares")
     p_two.add_argument("p", type=_bounded_int)
-    p_two.add_argument("--method", choices=("grace", "fixed-point", "both"), default="both")
+    p_two.add_argument(
+        "--method",
+        choices=("grace", "fixed-point", "both"),
+        help=f"default: both for p <= {_WALK_LIMIT}, grace above",
+    )
     p_two.set_defaults(func=_cmd_two_squares)
 
     p_lat = sub.add_parser("lattice", help="report on the slope lattice of (p, mu)")

@@ -4,13 +4,14 @@ and irreducible-matrix counting."""
 from __future__ import annotations
 
 from math import isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .lattice2d import _reduce_raw
 from .numtheory import _require_odd_prime, sqrt_minus_one
 from .windmill import Solution, _fast_solution_raw
 
 _BRUTE_LIMIT = 10**6
+_WALK_LIMIT = 10**6
 _ENUM_LIMIT = 10**4
 _COUNT_LIMIT = 10**9
 _GRACE_LIMIT = 2**62
@@ -70,14 +71,47 @@ def enumerate_bruteforce(p: int) -> set[Solution]:
     return sols
 
 
+def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
+    # All of S_p as plain (a, b, c, d) rows: the two degenerate rows, then one
+    # windmill walk per slope class {+-mu, +-1/mu}.  The swap (x, y) -> (y, x)
+    # maps the lattice of slope mu onto that of 1/mu, so the pair {+-1/mu}
+    # carries the row of {+-mu} with both factor pairs swapped.  Each class is
+    # walked at its least member in [2, (p-1)/2]; it is its own partner only
+    # when mu*mu = -1 (mod p), and that row is the fixed point a == b, c == d.
+    # The limit is checked at the first row, before any slope is walked.
+    if p > _WALK_LIMIT:
+        raise ValueError(f"the windmill walk is limited to p <= {_WALK_LIMIT}")
+    yield p, 1, 0, 0
+    yield 1, p, 0, 0
+    half = (p - 1) // 2
+    # inv[m] is +-1/m (mod p) folded into [1, half]; from p = q*m + r it
+    # follows that 1/m = -q/r, and r < m is already in the table
+    inv = [0, 1] + [0] * (half - 1)
+    for mu in range(2, half + 1):
+        q, r = divmod(p, mu)
+        partner = q * inv[r] % p
+        if partner > half:
+            partner = p - partner
+        inv[mu] = partner
+        if partner < mu:
+            continue
+        row = _fast_solution_raw(p, mu)[1]
+        yield row
+        if partner != mu:
+            a, b, c, d = row
+            yield b, a, d, c
+
+
 def enumerate_fast(p: int) -> set[Solution]:
     """S_p via the windmill walk, one solution per slope pair {mu, p - mu},
-    plus the two degenerate rows (p, 1, 0, 0) and (1, p, 0, 0)."""
+    plus the two degenerate rows (p, 1, 0, 0) and (1, p, 0, 0).
+
+    The walk visits one slope per class {+-mu, +-1/mu} and reads the partner
+    pair's solution off by swapping both factor pairs.  Limited to
+    p <= _WALK_LIMIT.
+    """
     _require_odd_prime(p)
-    sols = {Solution(p, 1, 0, 0, p), Solution(1, p, 0, 0, p)}
-    for mu in range(2, (p + 1) // 2):
-        a, b, c, d = _fast_solution_raw(p, mu)[1]
-        sols.add(Solution(a, b, c, d, p))
+    sols = {Solution(a, b, c, d, p) for a, b, c, d in _walk_rows(p)}
     assert len(sols) == (p + 1) // 2
     return sols
 
@@ -110,14 +144,17 @@ def vierergruppe_orbits(sols: set[Solution]) -> list[OrbitEntry]:
 def two_squares_fixed_point(p: int) -> tuple[int, int]:
     """p = a**2 + c**2 with a > c, read off the unique size-1 orbit of S_p.
 
-    Runs the full fast enumeration, so every call exercises the whole pipeline.
+    Runs the full windmill walk and checks its (p+1)/2 count, so every call
+    exercises the whole pipeline.  Limited to p <= _WALK_LIMIT.
     """
     _require_odd_prime(p)
     if p % 4 != 1:
         raise ValueError(f"p = {p} is 3 (mod 4), not a sum of two squares")
-    for sol in enumerate_fast(p):
-        if sol.a == sol.b and sol.c == sol.d:
-            return sol.a, sol.c
+    rows = set(_walk_rows(p))
+    assert len(rows) == (p + 1) // 2
+    for a, b, c, d in rows:
+        if a == b and c == d:
+            return a, c
     raise AssertionError(f"S_{p} has no fixed point")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -5,13 +6,20 @@ import jsonschema
 import pytest
 
 from goldens import GOLDEN_ORBITS
-from windmills import cli
+from windmills import cli, decomp
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def refuse_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("a refused input must not start the walk")
+
+    monkeypatch.setattr(decomp, "_fast_solution_raw", walk)
 
 
 def load_schema(name):
@@ -67,6 +75,30 @@ class TestDecompose:
             cli.main(["decompose", str(2**63)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["decompose", "10007", "--orbits"],
+                "f843a2f09881a26db7132c24473719b08db60607f145d97fabec53695e0cfcde",
+            ),
+            (
+                ["decompose", "10009", "--format", "json"],
+                "c94e3fc1d3afea821eb48d7a2b1a14f062ea9e047da471aa130d542f88a67681",
+            ),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_refuses_walk_above_limit(self, capsys, monkeypatch):
+        refuse_walk(monkeypatch)
+        code, out, err = run(["decompose", "1000000007"], capsys)
+        assert code == 2 and out == ""
+        assert f"limited to p <= {decomp._WALK_LIMIT}" in err
+
 
 class TestTwoSquares:
     def test_p29(self, capsys):
@@ -89,6 +121,20 @@ class TestTwoSquares:
         code, _, err = run(["two-squares", "7"], capsys)
         assert code == 2
         assert "3 (mod 4)" in err
+
+    def test_default_above_walk_limit_is_grace_alone(self, capsys, monkeypatch):
+        refuse_walk(monkeypatch)
+        code, out, _ = run(["two-squares", str(10**12 + 61)], capsys)
+        assert code == 0
+        assert out == "848494 529205\n"
+        assert 848494**2 + 529205**2 == 10**12 + 61
+
+    @pytest.mark.parametrize("method", ["both", "fixed-point"])
+    def test_refuses_walk_above_limit(self, capsys, monkeypatch, method):
+        refuse_walk(monkeypatch)
+        code, out, err = run(["two-squares", str(10**12 + 61), "--method", method], capsys)
+        assert code == 2 and out == ""
+        assert f"limited to p <= {decomp._WALK_LIMIT}" in err
 
 
 class TestLattice:
@@ -213,6 +259,15 @@ class TestVerify:
         )
         assert code == 2
         assert "accepts bounds" in err
+
+    def test_count_cap_refuses_before_the_sweep(self, capsys, monkeypatch):
+        def no_sweep(n):
+            raise AssertionError("a refused bound must not start the sweep")
+
+        monkeypatch.setattr(cli, "_odd_primes_up_to", no_sweep)
+        code, out, err = run(["verify", "--max-p", "100001", "--mode", "count"], capsys)
+        assert code == 2 and out == ""
+        assert "mode count accepts bounds in [1, 100000]" in err
 
 
 class TestIrreducible:

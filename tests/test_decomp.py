@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from goldens import GOLDEN_ORBITS, GOLDEN_TOTALS
 from oracles import odd_primes
+from windmills import decomp
 from windmills.decomp import (
     IrreducibleMatrix,
     OrbitEntry,
@@ -17,7 +18,7 @@ from windmills.decomp import (
     two_squares_grace,
     vierergruppe_orbits,
 )
-from windmills.windmill import Solution
+from windmills.windmill import Solution, _fast_solution_raw
 
 
 def orbit_set(entries: list[OrbitEntry]) -> set:
@@ -42,6 +43,19 @@ def _full_square_bruteforce(p: int) -> set[Solution]:
                     if a != b:
                         sols.add(Solution(b, a, c, d, p))
     return sols
+
+
+def _per_slope_rows(p: int) -> set[tuple[int, int, int, int]]:
+    # one windmill walk per slope pair {mu, p - mu}, kept as the reference for
+    # the walk over one slope per class {+-mu, +-1/mu}
+    rows = {(p, 1, 0, 0), (1, p, 0, 0)}
+    for mu in range(2, (p + 1) // 2):
+        rows.add(_fast_solution_raw(p, mu)[1])
+    return rows
+
+
+def _refuse_walk(*args):
+    raise AssertionError("a refused input must not start the walk")
 
 
 def _full_square_irreducible(n: int) -> list[IrreducibleMatrix]:
@@ -121,6 +135,40 @@ class TestEnumerateFast:
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             enumerate_fast(15)
+
+
+class TestWalkRows:
+    def test_equals_per_slope_rows_and_bruteforce(self):
+        # odd primes below 3000 cover both residue classes mod 4
+        for p in odd_primes(3000):
+            rows = list(decomp._walk_rows(p))
+            assert len(rows) == len(set(rows)) == (p + 1) // 2, p
+            assert set(rows) == _per_slope_rows(p), p
+            assert set(rows) == {s.key for s in enumerate_bruteforce(p)}, p
+
+    @pytest.mark.parametrize("p", [99989, 99991])
+    def test_equals_per_slope_rows_large(self, p):
+        rows = list(decomp._walk_rows(p))
+        assert len(rows) == len(set(rows)) == (p + 1) // 2
+        assert set(rows) == _per_slope_rows(p)
+
+    def test_self_partner_row_is_the_two_squares_pair(self):
+        # only mu*mu = -1 (mod p) is its own partner, so a row with a == b and
+        # c == d comes out once when p = 1 (mod 4) and never otherwise
+        for p in odd_primes(3000):
+            fixed = [(a, c) for a, b, c, d in decomp._walk_rows(p) if a == b and c == d]
+            if p % 4 == 1:
+                assert fixed == [two_squares_grace(p)], p
+            else:
+                assert fixed == [], p
+
+    def test_refuses_above_walk_limit(self, monkeypatch):
+        monkeypatch.setattr(decomp, "_fast_solution_raw", _refuse_walk)
+        limit = decomp._WALK_LIMIT
+        with pytest.raises(ValueError, match=f"limited to p <= {limit}"):
+            enumerate_fast(1_000_003)
+        with pytest.raises(ValueError, match=f"limited to p <= {limit}"):
+            two_squares_fixed_point(1_000_033)
 
 
 class TestVierergruppeOrbits:
