@@ -73,11 +73,12 @@ def enumerate_bruteforce(p: int) -> set[Solution]:
 
 def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
     # All of S_p as plain (a, b, c, d) rows: the two degenerate rows, then one
-    # windmill walk per slope class {+-mu, +-1/mu}.  The swap (x, y) -> (y, x)
-    # maps the lattice of slope mu onto that of 1/mu, so the pair {+-1/mu}
-    # carries the row of {+-mu} with both factor pairs swapped.  Each class is
-    # walked at its least member in [2, (p-1)/2]; it is its own partner only
-    # when mu*mu = -1 (mod p), and that row is the fixed point a == b, c == d.
+    # row per slope pair {mu, p - mu} from the per-slope kernel.  The swap
+    # (x, y) -> (y, x) maps the lattice of slope mu onto that of 1/mu and keeps
+    # a reduced basis reduced, so one Lagrange reduction serves each class
+    # {+-mu, +-1/mu}: it is done at the least member mu in [2, (p-1)/2], and
+    # the partner pair gets the swapped basis.  A class is its own partner only
+    # when mu*mu = -1 (mod p), and its row is the fixed point a == b, c == d.
     # The limit is checked at the first row, before any slope is walked.
     if p > _WALK_LIMIT:
         raise ValueError(f"the windmill walk is limited to p <= {_WALK_LIMIT}")
@@ -95,20 +96,20 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
         inv[mu] = partner
         if partner < mu:
             continue
-        row = _fast_solution_raw(p, mu)[1]
-        yield row
+        ax, ay, bx, by = _reduce_raw(p, 0, -mu, 1)
+        yield _fast_solution_raw(p, mu, (ax, ay, bx, by))[1]
         if partner != mu:
-            a, b, c, d = row
-            yield b, a, d, c
+            # the swapped basis spans the lattice of slope exactly 1/mu
+            slope = partner if partner * mu % p == 1 else p - partner
+            yield _fast_solution_raw(p, slope, (ay, ax, by, bx))[1]
 
 
 def enumerate_fast(p: int) -> set[Solution]:
     """S_p via the windmill walk, one solution per slope pair {mu, p - mu},
     plus the two degenerate rows (p, 1, 0, 0) and (1, p, 0, 0).
 
-    The walk visits one slope per class {+-mu, +-1/mu} and reads the partner
-    pair's solution off by swapping both factor pairs.  Limited to
-    p <= _WALK_LIMIT.
+    The walk Lagrange-reduces one lattice per class {+-mu, +-1/mu} and hands
+    the partner pair the swapped basis.  Limited to p <= _WALK_LIMIT.
     """
     _require_odd_prime(p)
     sols = {Solution(a, b, c, d, p) for a, b, c, d in _walk_rows(p)}

@@ -252,10 +252,16 @@ def _require_generic_slope(s: SlopeClass) -> tuple[int, int]:
     return s.p, s.mu
 
 
-def _fast_solution_raw(p: int, mu: int) -> tuple[int, tuple[int, int, int, int]]:
+def _fast_solution_raw(
+    p: int, mu: int, reduced: tuple[int, int, int, int] | None = None
+) -> tuple[int, tuple[int, int, int, int]]:
     # Reduce the slope basis, pick its windmill pair, reflect white lattices
-    # onto the mirror slope p - mu, and slide to the standard basis.
-    black, (ux, uy), (vx, vy) = _windmill_pair_raw(*_reduce_raw(p, 0, -mu, 1))
+    # onto the mirror slope p - mu, and slide to the standard basis.  A caller
+    # that already holds a Lagrange-reduced basis of the slope's lattice
+    # passes it as `reduced` and skips the reduction.
+    if reduced is None:
+        reduced = _reduce_raw(p, 0, -mu, 1)
+    black, (ux, uy), (vx, vy) = _windmill_pair_raw(*reduced)
     if not black:
         # (x, y) -> (-x, y) maps the lattice onto the slope p - mu and swaps
         # cone colors: WNW goes to ENE and NNE to NNW

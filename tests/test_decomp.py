@@ -46,8 +46,8 @@ def _full_square_bruteforce(p: int) -> set[Solution]:
 
 
 def _per_slope_rows(p: int) -> set[tuple[int, int, int, int]]:
-    # one windmill walk per slope pair {mu, p - mu}, kept as the reference for
-    # the walk over one slope per class {+-mu, +-1/mu}
+    # one reduction per slope pair {mu, p - mu}, kept as the reference for the
+    # walk that shares one reduction per class {+-mu, +-1/mu}
     rows = {(p, 1, 0, 0), (1, p, 0, 0)}
     for mu in range(2, (p + 1) // 2):
         rows.add(_fast_solution_raw(p, mu)[1])
@@ -151,6 +151,24 @@ class TestWalkRows:
         rows = list(decomp._walk_rows(p))
         assert len(rows) == len(set(rows)) == (p + 1) // 2
         assert set(rows) == _per_slope_rows(p)
+
+    @pytest.mark.parametrize("p", [101, 103])
+    def test_one_kernel_call_per_pair_and_one_reduction_per_class(self, p, monkeypatch):
+        calls = {"kernel": 0, "reduce": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(decomp, "_fast_solution_raw", counted("kernel", _fast_solution_raw))
+        monkeypatch.setattr(decomp, "_reduce_raw", counted("reduce", decomp._reduce_raw))
+        assert len(list(decomp._walk_rows(p))) == (p + 1) // 2
+        # (p-3)/2 pairs fall into classes of two, plus one self-partner class
+        # when p = 1 (mod 4): 25 classes at both 101 and 103
+        assert calls == {"kernel": (p - 3) // 2, "reduce": 25}
 
     def test_self_partner_row_is_the_two_squares_pair(self):
         # only mu*mu = -1 (mod p) is its own partner, so a row with a == b and

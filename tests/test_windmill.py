@@ -7,6 +7,7 @@ from windmills.lattice2d import (
     IVec2,
     LatticeBasis,
     SlopeClass,
+    _reduce_raw,
     is_basis_of_slope,
     lambda_mu,
     minimal_vector,
@@ -17,6 +18,7 @@ from windmills.windmill import (
     Color,
     Cone,
     Solution,
+    _fast_solution_raw,
     all_windmill_bases,
     classify_cone,
     fast_solution_for_pair,
@@ -323,6 +325,17 @@ class TestFastSolutionForPair:
                 else:
                     assert ms.mu == p - mu
                     assert sol == standard_black_basis(ms)
+
+    def test_swapped_reduced_basis_serves_the_inverse_slope(self):
+        # (x, y) -> (y, x) maps the lattice of slope mu onto that of 1/mu and
+        # keeps a reduced basis reduced, so handing it to the kernel must give
+        # the same black slope and row as reducing the inverse slope itself
+        for p in odd_primes(300):
+            for mu in range(2, p - 1):
+                ax, ay, bx, by = _reduce_raw(p, 0, -mu, 1)
+                inverse = pow(mu, -1, p)
+                swapped = _fast_solution_raw(p, inverse, (ay, ax, by, bx))
+                assert swapped == _fast_solution_raw(p, inverse), (p, mu)
 
     def test_p29_matches_table_rows_with_positive_cd(self):
         expected_orbits = {
