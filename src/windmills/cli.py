@@ -14,16 +14,18 @@ from multiprocessing import Pool
 
 from .decomp import (
     _WALK_LIMIT,
+    _checked_rows,
+    _orbit_table,
     enumerate_bruteforce,
     enumerate_fast,
     irreducible_count,
     irreducible_enumerate,
     two_squares_fixed_point,
     two_squares_grace,
-    vierergruppe_orbits,
 )
 from .lattice2d import (
     IVec2,
+    LatticeBasis,
     SlopeClass,
     gauss_reduce,
     lambda_mu,
@@ -120,9 +122,11 @@ def check_oracle(p: int) -> str | None:
 def check_color(p: int) -> str | None:
     """No windmill basis exactly on slopes 0, 1, p-1 and infinity; colors flip
     under mu -> p - mu and mu -> 1/mu; exactly (p-3)/2 black slopes."""
+    # prove p prime once; a SlopeClass per slope would prove it again each time
+    _require_odd_prime(p)
     colors: dict[int, Color] = {}
     for mu in range(p):
-        found_set = all_windmill_bases(lambda_mu(SlopeClass(p, mu)))
+        found_set = all_windmill_bases(LatticeBasis(IVec2(p, 0), IVec2(-mu, 1)))
         if mu in (0, 1, p - 1):
             if found_set is not None:
                 return f"p={p}, mu={mu}: unexpected windmill basis"
@@ -130,7 +134,7 @@ def check_color(p: int) -> str | None:
             return f"p={p}, mu={mu}: missing windmill basis"
         else:
             colors[mu] = found_set.color
-    if all_windmill_bases(lambda_mu(SlopeClass.infinity(p))) is not None:
+    if all_windmill_bases(LatticeBasis(IVec2(1, 0), IVec2(0, p))) is not None:
         return f"p={p}, mu=infinity: unexpected windmill basis"
     for mu, color in colors.items():
         if colors[p - mu] == color:
@@ -159,7 +163,7 @@ def check_irreducible(n: int) -> str | None:
 _VERIFY_MODES = {
     "count": (check_count, "primes", 10**5),
     "oracle": (check_oracle, "primes", 10**5),
-    "color": (check_color, "primes", 10**5),
+    "color": (check_color, "primes", 4 * 10**4),
     "irreducible": (check_irreducible, "integers", 10**4),
 }
 
@@ -184,23 +188,21 @@ def run_verify(mode: str, max_n: int, jobs: int = 1) -> tuple[int, list[str]]:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     p = args.p
-    _require_odd_prime(p)
-    found = enumerate_fast(p)
-    # p is the same in every solution, so the native order is the key order
-    sols = sorted(found, reverse=True)
-    orbits = vierergruppe_orbits(found) if args.orbits else None
+    found = _checked_rows(p)
+    rows = sorted(found, reverse=True)
+    orbits = sorted(_orbit_table(found).items(), reverse=True) if args.orbits else None
     if args.format == "json":
-        payload: dict = {"p": p, "count": len(sols), "solutions": [list(s.key) for s in sols]}
+        payload: dict = {"p": p, "count": len(rows), "solutions": [list(row) for row in rows]}
         if orbits is not None:
-            payload["orbits"] = [{"rep": list(o.rep.key), "size": o.size} for o in orbits]
+            payload["orbits"] = [{"rep": list(rep), "size": size} for rep, size in orbits]
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    lines = [f"p = {p}", f"count = {len(sols)}"]
-    lines += [f"{a} {b} {c} {d}" for a, b, c, d, _ in sols]
+    lines = [f"p = {p}", f"count = {len(rows)}"]
+    lines += [f"{a} {b} {c} {d}" for a, b, c, d in rows]
     if orbits is not None:
         lines.append("orbits (a b c d size):")
-        lines += [f"{o.rep.a} {o.rep.b} {o.rep.c} {o.rep.d} {o.size}" for o in orbits]
-        lines.append(f"total {sum(o.size for o in orbits)}")
+        lines += [f"{a} {b} {c} {d} {size}" for (a, b, c, d), size in orbits]
+        lines.append(f"total {sum(size for _, size in orbits)}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -104,6 +104,15 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
             yield _fast_solution_raw(p, slope, (ay, ax, by, bx))[1]
 
 
+def _checked_rows(p: int) -> set[tuple[int, int, int, int]]:
+    # S_p as a set of walk rows, for an odd prime p, with its (p+1)/2 count
+    # asserted: every caller of the walk takes its rows here
+    _require_odd_prime(p)
+    rows = set(_walk_rows(p))
+    assert len(rows) == (p + 1) // 2
+    return rows
+
+
 def enumerate_fast(p: int) -> set[Solution]:
     """S_p via the windmill walk, one solution per slope pair {mu, p - mu},
     plus the two degenerate rows (p, 1, 0, 0) and (1, p, 0, 0).
@@ -111,33 +120,34 @@ def enumerate_fast(p: int) -> set[Solution]:
     The walk Lagrange-reduces one lattice per class {+-mu, +-1/mu} and hands
     the partner pair the swapped basis.  Limited to p <= _WALK_LIMIT.
     """
-    _require_odd_prime(p)
-    sols = {Solution(a, b, c, d, p) for a, b, c, d in _walk_rows(p)}
-    assert len(sols) == (p + 1) // 2
-    return sols
+    return {Solution(a, b, c, d, p) for a, b, c, d in _checked_rows(p)}
+
+
+def _orbit_table(rows: set[tuple[int, int, int, int]]) -> dict[tuple[int, int, int, int], int]:
+    # Decreasing representative -> size of each swap orbit the rows meet, in one
+    # pass.  An orbit holds at most `size` rows, so the sizes sum to len(rows)
+    # exactly when the rows are closed under the swaps.
+    table = {}
+    for a, b, c, d in rows:
+        if a < b:
+            a, b = b, a
+        if c < d:
+            c, d = d, c
+        table[a, b, c, d] = (1 if a == b else 2) * (1 if c == d else 2)
+    if sum(table.values()) != len(rows):
+        swaps = {o for a, b, c, d in rows for o in ((b, a, c, d), (a, b, d, c), (b, a, d, c))}
+        raise ValueError(f"input not closed under the swap action: missing {sorted(swaps - rows)}")
+    return table
 
 
 def vierergruppe_orbits(sols: set[Solution]) -> list[OrbitEntry]:
     """Orbits of the Klein four-group swapping (a, b) and (c, d) independently,
     sorted by descending representative."""
-    entries = []
-    seen: set[Solution] = set()
-    for sol in sols:
-        if sol in seen:
-            continue
-        a, b, c, d, p = sol
-        orbit = {
-            Solution(a, b, c, d, p),
-            Solution(b, a, c, d, p),
-            Solution(a, b, d, c, p),
-            Solution(b, a, d, c, p),
-        }
-        missing = orbit - sols
-        if missing:
-            raise ValueError(f"input not closed under the swap action: missing {sorted(missing)}")
-        seen |= orbit
-        rep = Solution(max(a, b), min(a, b), max(c, d), min(c, d), p)
-        entries.append(OrbitEntry(rep, len(orbit)))
+    entries = [
+        OrbitEntry(Solution(*rep, p), size)
+        for p in {sol.p for sol in sols}
+        for rep, size in _orbit_table({sol.key for sol in sols if sol.p == p}).items()
+    ]
     entries.sort(key=lambda e: e.rep.key, reverse=True)
     return entries
 
@@ -151,9 +161,7 @@ def two_squares_fixed_point(p: int) -> tuple[int, int]:
     _require_odd_prime(p)
     if p % 4 != 1:
         raise ValueError(f"p = {p} is 3 (mod 4), not a sum of two squares")
-    rows = set(_walk_rows(p))
-    assert len(rows) == (p + 1) // 2
-    for a, b, c, d in rows:
+    for a, b, c, d in _checked_rows(p):
         if a == b and c == d:
             return a, c
     raise AssertionError(f"S_{p} has no fixed point")

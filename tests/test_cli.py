@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 
 from goldens import GOLDEN_ORBITS
-from windmills import cli, decomp
+from windmills import cli, decomp, lattice2d, numtheory
+from windmills.numtheory import is_prime
 
 
 def run(argv, capsys):
@@ -86,12 +87,25 @@ class TestDecompose:
                 ["decompose", "10009", "--format", "json"],
                 "c94e3fc1d3afea821eb48d7a2b1a14f062ea9e047da471aa130d542f88a67681",
             ),
+            (
+                ["decompose", "10009", "--orbits", "--format", "json"],
+                "c526c11c11dc3e880fe8380f97fe50a902acd0bbcb4cd9d779cdf08095d0fae3",
+            ),
         ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_builds_no_solution_objects(self, capsys, monkeypatch, fmt):
+        def no_solution(*args):
+            raise AssertionError("decompose works on plain rows")
+
+        monkeypatch.setattr(decomp, "Solution", no_solution)
+        code, out, _ = run(["decompose", "101", "--orbits", "--format", fmt], capsys)
+        assert code == 0 and out
 
     def test_refuses_walk_above_limit(self, capsys, monkeypatch):
         refuse_walk(monkeypatch)
@@ -268,6 +282,32 @@ class TestVerify:
         code, out, err = run(["verify", "--max-p", "100001", "--mode", "count"], capsys)
         assert code == 2 and out == ""
         assert "mode count accepts bounds in [1, 100000]" in err
+
+    def test_color_cap_refuses_before_the_sweep(self, capsys, monkeypatch):
+        def no_sweep(p):
+            raise AssertionError("a refused bound must not start the sweep")
+
+        _, kind, cap = cli._VERIFY_MODES["color"]
+        monkeypatch.setitem(cli._VERIFY_MODES, "color", (no_sweep, kind, cap))
+        code, out, err = run(["verify", "--max-p", "40001", "--mode", "color"], capsys)
+        assert code == 2 and out == ""
+        assert "mode color accepts bounds in [1, 40000]" in err
+
+    def test_color_proves_p_prime_once(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(numtheory, "is_prime", counted)
+        monkeypatch.setattr(lattice2d, "is_prime", counted)
+        assert cli.check_color(101) is None
+        assert calls == [101]
+
+    def test_color_rejects_non_prime(self):
+        with pytest.raises(ValueError, match="odd prime"):
+            cli.check_color(91)
 
 
 class TestIrreducible:

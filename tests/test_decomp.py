@@ -54,6 +54,32 @@ def _per_slope_rows(p: int) -> set[tuple[int, int, int, int]]:
     return rows
 
 
+def _four_solution_orbits(sols: set[Solution]) -> list[OrbitEntry]:
+    # the orbit walk that builds all four swaps of each row as Solutions and
+    # checks them against the input by set difference, kept as the reference
+    # for the one-pass table of decreasing representatives
+    entries = []
+    seen: set[Solution] = set()
+    for sol in sols:
+        if sol in seen:
+            continue
+        a, b, c, d, p = sol
+        orbit = {
+            Solution(a, b, c, d, p),
+            Solution(b, a, c, d, p),
+            Solution(a, b, d, c, p),
+            Solution(b, a, d, c, p),
+        }
+        missing = orbit - sols
+        if missing:
+            raise ValueError(f"input not closed under the swap action: missing {sorted(missing)}")
+        seen |= orbit
+        rep = Solution(max(a, b), min(a, b), max(c, d), min(c, d), p)
+        entries.append(OrbitEntry(rep, len(orbit)))
+    entries.sort(key=lambda e: e.rep.key, reverse=True)
+    return entries
+
+
 def _refuse_walk(*args):
     raise AssertionError("a refused input must not start the walk")
 
@@ -227,6 +253,31 @@ class TestVierergruppeOrbits:
         bad = {Solution(14, 2, 1, 1, 29)}
         with pytest.raises(ValueError):
             vierergruppe_orbits(bad)
+
+    def test_equals_four_solution_walk(self):
+        # 99989 = 1 and 99991 = 3 (mod 4): both residue classes at the top
+        for p in odd_primes(3000) + [99989, 99991]:
+            sols = enumerate_fast(p)
+            assert vierergruppe_orbits(sols) == _four_solution_orbits(sols), p
+
+    @pytest.mark.parametrize(
+        "dropped",
+        [
+            (2, 14, 1, 1),  # not a representative: its orbit's one is present
+            (14, 2, 1, 1),  # the representative: only its three swaps are present
+        ],
+    )
+    def test_names_the_missing_member(self, dropped):
+        sols = enumerate_fast(29) - {Solution(*dropped, 29)}
+        with pytest.raises(ValueError, match="not closed") as exc:
+            vierergruppe_orbits(sols)
+        assert str(dropped) in str(exc.value)
+        with pytest.raises(ValueError, match="not closed"):
+            _four_solution_orbits(sols)
+
+    def test_mixed_primes_keep_their_own_orbits(self):
+        sols = enumerate_fast(5) | enumerate_fast(13)
+        assert vierergruppe_orbits(sols) == _four_solution_orbits(sols)
 
     def test_closure_of_generated_sets(self):
         for p in (13, 29, 101):
