@@ -34,7 +34,7 @@ from .lattice2d import (
     voronoi_cell,
 )
 from .numtheory import _require_odd_prime
-from .render import lattice_svg, tiling_svg
+from .render import SvgDocument, lattice_svg, tiling_svg
 from .windmill import Color, Solution, all_windmill_bases, fast_solution_for_pair
 
 _INPUT_BOUND = 2**62
@@ -162,7 +162,7 @@ def check_irreducible(n: int) -> str | None:
 
 _VERIFY_MODES = {
     "count": (check_count, "primes", 10**5),
-    "oracle": (check_oracle, "primes", 10**5),
+    "oracle": (check_oracle, "primes", 6 * 10**4),
     "color": (check_color, "primes", 4 * 10**4),
     "irreducible": (check_irreducible, "integers", 10**4),
 }
@@ -229,16 +229,24 @@ def _cmd_two_squares(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_slope(p: int, text: str) -> SlopeClass:
-    if text in ("inf", "infinity"):
-        return SlopeClass.infinity(p)
-    return SlopeClass(p, _bounded_int(text))
+def _slope_arg(text: str) -> int | None:
+    # the finite slope as a bounded integer, or None for the slope at infinity
+    return None if text in ("inf", "infinity") else _bounded_int(text)
+
+
+def _write_svg(doc: SvgDocument, path: str) -> None:
+    try:
+        doc.write(path)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    s = _parse_slope(args.p, args.mu)
-    # render before printing, so that a picture out of range fails with no output
-    svg = lattice_svg(s, args.extent) if args.svg else None
+    s = SlopeClass(args.p, args.mu)
+    # render and write before printing, so that a picture out of range or an
+    # unwritable path fails with no output
+    if args.svg:
+        _write_svg(lattice_svg(s, args.extent), args.svg)
     basis = lambda_mu(s)
     red = gauss_reduce(basis)
     data = voronoi_cell(basis)
@@ -264,14 +272,13 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             )
         else:
             print(f"standard solution: none (black partner: mu = {partner.mu})")
-    if svg is not None:
-        svg.write(args.svg)
+    if args.svg:
         print(f"wrote {args.svg}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.jobs:
+    if args.jobs is not None:
         jobs = args.jobs
     else:
         env = os.environ.get("WINDMILL_JOBS", "1")
@@ -320,7 +327,7 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
         raise ValueError(
             f"({args.a}, {args.b}, {args.c}, {args.d}) is not a solution for p = {args.p}"
         )
-    tiling_svg(sol, args.extent).write(args.out)
+    _write_svg(tiling_svg(sol, args.extent), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -350,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lat = sub.add_parser("lattice", help="report on the slope lattice of (p, mu)")
     p_lat.add_argument("p", type=_bounded_int)
-    p_lat.add_argument("mu", help="slope in [0, p) or 'inf'")
+    p_lat.add_argument("mu", type=_slope_arg, help="slope in [0, p) or 'inf'")
     p_lat.add_argument("--svg", metavar="PATH", help="also write an SVG picture")
     p_lat.add_argument("--extent", type=_bounded_int, default=8)
     p_lat.set_defaults(func=_cmd_lattice)
@@ -358,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run an invariant sweep")
     p_ver.add_argument("--max-p", type=_bounded_int, required=True)
     p_ver.add_argument("--mode", choices=sorted(_VERIFY_MODES), required=True)
-    p_ver.add_argument("--jobs", type=_bounded_int, default=0, help="worker processes (default WINDMILL_JOBS or 1)")
+    p_ver.add_argument("--jobs", type=_bounded_int, help="worker processes (default WINDMILL_JOBS or 1)")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -9,11 +9,11 @@ p = a*b + c*d through the standard form u = (a, c), v = (-d, b).
 
 The work happens on plain integers in three layers: lattice2d._reduce_raw
 Lagrange-reduces the basis, _windmill_pair_raw picks the windmill pair among
-the Voronoi vectors of the reduced basis, and _fast_solution_raw slides that
-pair to the standard basis.  The object API (find_windmill_basis,
-all_windmill_bases, standard_black_basis, fast_solution_for_pair) wraps these
-layers; classify_cone is the public classifier over the whole plane and stays
-off the hot path.
+the Voronoi vectors of the reduced basis, and _standard_basis_raw mirrors a
+white pair onto a black one and slides it to the standard basis.  The object
+API (find_windmill_basis, all_windmill_bases, standard_black_basis,
+fast_solution_for_pair) sits on top of these layers; classify_cone is the
+public classifier over the whole plane and stays off the hot path.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .lattice2d import (
     LatticeBasis,
     SlopeClass,
     _reduce_raw,
-    lambda_mu,
 )
 
 
@@ -130,40 +129,6 @@ def windmill_basis_color(e: IVec2, f: IVec2) -> Color | None:
     return None
 
 
-# Linear forms strictly positive on each open upper cone.
-_CONE_FORMS = {
-    Cone.ENE: ((0, 1), (1, -1)),  # y > 0,  x - y > 0
-    Cone.NNE: ((1, 0), (-1, 1)),  # x > 0,  y - x > 0
-    Cone.NNW: ((-1, 0), (1, 1)),  # -x > 0,  x + y > 0
-    Cone.WNW: ((0, 1), (-1, -1)),  # y > 0, -x - y > 0
-}
-
-
-def _cone_interval(wx: int, wy: int, dx: int, dy: int, cone: Cone) -> tuple[int, int]:
-    """Integer shift range [lo, hi] keeping w + s*d strictly inside the open cone.
-
-    Finite because d must avoid both boundary lines of the cone, which holds
-    whenever d lies strictly inside any other windmill cone.
-    """
-    lo = hi = None
-    for cx, cy in _CONE_FORMS[cone]:
-        fw = cx * wx + cy * wy
-        fd = cx * dx + cy * dy
-        if fd > 0:
-            s = -((fw - 1) // fd)  # least s with fw + s*fd >= 1
-            if lo is None or s > lo:
-                lo = s
-        elif fd < 0:
-            s = (fw - 1) // -fd  # greatest s with fw + s*fd >= 1
-            if hi is None or s < hi:
-                hi = s
-        elif fw <= 0:
-            raise ValueError("w does not lie inside the cone")
-    if lo is None or hi is None:
-        raise ValueError("direction runs along a cone boundary")
-    return lo, hi
-
-
 def _windmill_pair_raw(
     ax: int, ay: int, bx: int, by: int
 ) -> tuple[bool, tuple[int, int], tuple[int, int]] | None:
@@ -205,6 +170,26 @@ def _windmill_pair_raw(
     return None
 
 
+def _standard_basis_raw(
+    ax: int, ay: int, bx: int, by: int
+) -> tuple[bool, tuple[int, int, int, int]] | None:
+    # On a Lagrange-reduced basis: pick the windmill pair, mirror a white pair
+    # onto a black one, and slide to the standard basis u = (a, c), v = (-d, b).
+    # Returns (black, (a, b, c, d)) in the black frame, or None.
+    pair = _windmill_pair_raw(ax, ay, bx, by)
+    if pair is None:
+        return None
+    black, (ux, uy), (vx, vy) = pair
+    if not black:
+        # (x, y) -> (-x, y) swaps cone colors: WNW goes to ENE and NNE to NNW
+        ux, uy, vx, vy = -vx, vy, -ux, uy
+    # Slide u to the lowest vector of its translate family and v to the
+    # rightmost of its family; at most one slide can be nontrivial.
+    lo = -((uy - 1) // vy)
+    hi = (-vx - 1) // ux
+    return black, (ux + lo * vx, vy + hi * uy, uy + lo * vy, -(vx + hi * ux))
+
+
 def find_windmill_basis(b: LatticeBasis) -> tuple[LatticeBasis, Color] | None:
     """One windmill basis drawn from the Voronoi vectors, or None.
 
@@ -221,26 +206,30 @@ def find_windmill_basis(b: LatticeBasis) -> tuple[LatticeBasis, Color] | None:
 def all_windmill_bases(b: LatticeBasis) -> WindmillBasisSet | None:
     """The complete set of windmill bases of the lattice, or None if it has none.
 
-    Starting from one found basis (u0, v0), every further basis replaces one of
-    the two vectors by a translate along the other that stays inside its cone;
-    only one of the two translate families can be nontrivial.
+    Every windmill basis is a translate of the standard one u = (a, c),
+    v = (-d, b) (mirrored for a white lattice): u moves up along v inside its
+    cone, or v moves left along u; only one of the two families can be
+    nontrivial.
     """
-    found = find_windmill_basis(b)
-    if found is None:
+    std = _standard_basis_raw(*_reduce_raw(b.u.x, b.u.y, b.v.x, b.v.y))
+    if std is None:
         return None
-    basis, color = found
-    u0, v0 = basis.u, basis.v
-    cone_u, cone_v = (Cone.ENE, Cone.NNW) if color is Color.BLACK else (Cone.NNE, Cone.WNW)
-    lo_u, hi_u = _cone_interval(u0.x, u0.y, v0.x, v0.y, cone_u)
-    lo_v, hi_v = _cone_interval(v0.x, v0.y, u0.x, u0.y, cone_v)
-    count_u = hi_u - lo_u + 1
-    count_v = hi_v - lo_v + 1
-    assert count_u == 1 or count_v == 1, "windmill bases must share a common element"
-    if count_u == 1 and count_v == 1:
-        return WindmillBasisSet(color, u0, v0, 1)
-    if count_v > 1:
-        return WindmillBasisSet(color, u0, v0 + lo_v * u0, count_v)
-    return WindmillBasisSet(color, v0, u0 + lo_u * v0, count_u)
+    black, (a, bb, c, d) = std
+    # u + s*v stays in E-NE while s*(b + d) < a - c, and v - s*u in N-NW
+    # while s*(a + c) < b - d, for s >= 0
+    n_u = (a - c - 1) // (bb + d) + 1
+    n_v = (bb - d - 1) // (a + c) + 1
+    assert n_u == 1 or n_v == 1, "windmill bases must share a common element"
+    # m is the common element and f the first of the moving family, its
+    # lowest (u) or leftmost (v) member; `windmills lattice` prints this order
+    if n_u > 1 or (not black and n_v == 1):
+        mx, my, fx, fy, count = -d, bb, a, c, n_u
+    else:
+        k = 1 - n_v
+        mx, my, fx, fy, count = a, c, k * a - d, k * c + bb, n_v
+    if black:
+        return WindmillBasisSet(Color.BLACK, IVec2(mx, my), IVec2(fx, fy), count)
+    return WindmillBasisSet(Color.WHITE, IVec2(-mx, my), IVec2(-fx, fy), count)
 
 
 def _require_generic_slope(s: SlopeClass) -> tuple[int, int]:
@@ -255,29 +244,18 @@ def _require_generic_slope(s: SlopeClass) -> tuple[int, int]:
 def _fast_solution_raw(
     p: int, mu: int, reduced: tuple[int, int, int, int] | None = None
 ) -> tuple[int, tuple[int, int, int, int]]:
-    # Reduce the slope basis, pick its windmill pair, reflect white lattices
-    # onto the mirror slope p - mu, and slide to the standard basis.  A caller
-    # that already holds a Lagrange-reduced basis of the slope's lattice
-    # passes it as `reduced` and skips the reduction.
+    # Reduce the slope basis and take its standard basis; a white lattice is
+    # mirrored onto the slope p - mu.  A caller that already holds a
+    # Lagrange-reduced basis of the slope's lattice passes it as `reduced` and
+    # skips the reduction.
     if reduced is None:
         reduced = _reduce_raw(p, 0, -mu, 1)
-    black, (ux, uy), (vx, vy) = _windmill_pair_raw(*reduced)
+    black, row = _standard_basis_raw(*reduced)
     if not black:
-        # (x, y) -> (-x, y) maps the lattice onto the slope p - mu and swaps
-        # cone colors: WNW goes to ENE and NNE to NNW
         mu = p - mu
-        ux, uy, vx, vy = -vx, vy, -ux, uy
-    # Slide u to the lowest vector of its translate family and v to the
-    # rightmost of its family; at most one slide can be nontrivial, and the
-    # result is the standard basis u = (a, c), v = (-d, b).
-    lo = -((uy - 1) // vy)
-    a = ux + lo * vx
-    c = uy + lo * vy
-    hi = (-vx - 1) // ux
-    b = vy + hi * uy
-    d = -(vx + hi * ux)
+    a, b, c, d = row
     assert a * b + c * d == p and min(a, b) > max(c, d) >= 0, (p, mu)
-    return mu, (a, b, c, d)
+    return mu, row
 
 
 def standard_black_basis(s: SlopeClass) -> Solution | None:
@@ -287,20 +265,9 @@ def standard_black_basis(s: SlopeClass) -> Solution | None:
     The standard basis takes the lowest windmill-type vector of the E-NE cone
     and the rightmost one of the N-NW cone.
     """
-    p, _ = _require_generic_slope(s)
-    ws = all_windmill_bases(lambda_mu(s))
-    assert ws is not None, "every slope in [2, p-2] has a windmill basis"
-    if ws.color is Color.WHITE:
-        return None
-    # With m in ENE the NNW translates f + k*m move right as k grows, so the
-    # last one is standard; with m in NNW the ENE translates move up, so f is.
-    if classify_cone(ws.m) is Cone.ENE:
-        u, v = ws.m, ws.f + (ws.count - 1) * ws.m
-    else:
-        u, v = ws.f, ws.m
-    sol = Solution(u.x, v.y, u.y, -v.x, p)
-    assert sol.is_valid(), sol
-    return sol
+    p, mu = _require_generic_slope(s)
+    black_mu, row = _fast_solution_raw(p, mu)
+    return Solution(*row, p) if black_mu == mu else None
 
 
 def fast_solution_for_pair(s: SlopeClass) -> tuple[SlopeClass, Solution]:

@@ -1,11 +1,17 @@
 import hashlib
+import io
 import json
+import subprocess
+import sys
+from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from goldens import GOLDEN_ORBITS
+import windmills
 from windmills import cli, decomp, lattice2d, numtheory
 from windmills.numtheory import is_prime
 
@@ -183,6 +189,30 @@ class TestLattice:
         assert code == 2
         assert "mu" in err
 
+    @pytest.mark.parametrize("mu", ["abc", str(2**62)])
+    def test_rejects_malformed_mu(self, capsys, mu):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lattice", "13", mu])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "argument mu" in out.err
+
+    @pytest.mark.parametrize(
+        "p,digest",
+        [
+            (101, "006361b9344abb845fa6d037e5c3df5f488e277f948ccb2cf11ac7a6bddd5fba"),
+            (103, "4b575db74a52c9bc2335614dbf5d39e0adf867a5c8ad18898ca94854ddbf729e"),
+        ],
+    )
+    def test_reports_over_every_slope_are_pinned(self, p, digest):
+        # the bases line prints m and f in a fixed order, so a change of which
+        # element is common or where its family starts changes these bytes
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            for mu in [*map(str, range(p)), "inf"]:
+                assert cli.main(["lattice", str(p), mu]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
     def test_writes_svg(self, capsys, tmp_path):
         target = tmp_path / "lattice.svg"
         code, out, _ = run(["lattice", "13", "7", "--svg", str(target)], capsys)
@@ -197,6 +227,12 @@ class TestLattice:
         assert code == 2
         assert "extent must lie in [1, 50]" in err
         assert out == "" and not target.exists()
+
+    def test_unwritable_svg_path_prints_nothing(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        code, out, err = run(["lattice", "13", "7", "--svg", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write") and str(target) in err
 
 
 class TestVerify:
@@ -228,7 +264,9 @@ class TestVerify:
         report = cli.Report.from_json(out)
         assert report.command == "verify"
 
-    @pytest.mark.parametrize("flag,env", [(["--jobs", "-3"], None), ([], "-1")])
+    @pytest.mark.parametrize(
+        "flag,env", [(["--jobs", "-3"], None), ([], "-1"), (["--jobs", "0"], None)]
+    )
     def test_rejects_jobs_below_one(self, capsys, monkeypatch, flag, env):
         if env is not None:
             monkeypatch.setenv("WINDMILL_JOBS", env)
@@ -292,6 +330,16 @@ class TestVerify:
         code, out, err = run(["verify", "--max-p", "40001", "--mode", "color"], capsys)
         assert code == 2 and out == ""
         assert "mode color accepts bounds in [1, 40000]" in err
+
+    def test_oracle_cap_refuses_before_the_sweep(self, capsys, monkeypatch):
+        def no_sweep(p):
+            raise AssertionError("a refused bound must not start the sweep")
+
+        _, kind, cap = cli._VERIFY_MODES["oracle"]
+        monkeypatch.setitem(cli._VERIFY_MODES, "oracle", (no_sweep, kind, cap))
+        code, out, err = run(["verify", "--max-p", "60001", "--mode", "oracle"], capsys)
+        assert code == 2 and out == ""
+        assert "mode oracle accepts bounds in [1, 60000]" in err
 
     def test_color_proves_p_prime_once(self, monkeypatch):
         calls = []
@@ -358,6 +406,14 @@ class TestTiling:
         assert code == 2
         assert "not a solution" in err
 
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        code, out, err = run(
+            ["tiling", "37", "7", "5", "2", "1", "--out", str(target)], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write") and str(target) in err
+
     def test_square_pair(self, capsys, tmp_path):
         target = tmp_path / "sq.svg"
         code, _, _ = run(["tiling", "5", "2", "2", "1", "1", "--out", str(target)], capsys)
@@ -384,3 +440,23 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_imports_only_the_standard_library():
+    # A fresh interpreter under -S, so that no .pth hook of an installed
+    # package imports anything; the site directories still go on the path, so
+    # an import of an installed package, even a guarded one, would show.
+    src = str(Path(windmills.__file__).resolve().parent.parent)
+    code = (
+        f"import site, sys; sys.path.insert(0, {src!r}); "
+        "sys.path += [*site.getsitepackages(), site.getusersitepackages()]; "
+        "import windmills, windmills.cli; "
+        "print(*sorted({name.split('.')[0] for name in sys.modules}))"
+    )
+    names = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    # __main__ is the -c script, and multiprocessing aliases it as __mp_main__
+    allowed = set(sys.stdlib_module_names) | {"windmills", "__main__", "__mp_main__"}
+    assert "windmills" in names
+    assert [name for name in names if name not in allowed] == []

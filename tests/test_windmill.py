@@ -299,6 +299,31 @@ class TestStandardBlackBasis:
                 assert standard_pairs == 1
 
 
+    def test_equals_unique_standard_pair_of_bruteforce(self):
+        # the standard basis read off an exhaustive pair search, independent of
+        # the slide: the one black pair u = (a, c), v = (-d, b) with
+        # min(a, b) > max(c, d)
+        for p in odd_primes(60):
+            for mu in [*range(p), None]:
+                expected = bf_windmill_bases(p, mu)
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        standard_black_basis(slope(p, mu))
+                    continue
+                color_name, pairs = expected
+                standard = []
+                for pair in pairs:
+                    (ux, uy), (vx, vy) = sorted(pair, reverse=True)  # u has x > 0
+                    a, b, c, d = ux, vy, uy, -vx
+                    if min(a, b) > max(c, d):
+                        standard.append(Solution(a, b, c, d, p))
+                got = standard_black_basis(slope(p, mu))
+                if color_name == "white":
+                    assert got is None, (p, mu)
+                else:
+                    assert standard == [got], (p, mu)
+
+
 class TestFastSolutionForPair:
     def test_running_example_black_side(self):
         ms, sol = fast_solution_for_pair(slope(13, 7))
