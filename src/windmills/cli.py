@@ -14,10 +14,9 @@ from multiprocessing import Pool
 
 from .decomp import (
     _WALK_LIMIT,
+    _bruteforce_rows,
     _checked_rows,
     _orbit_table,
-    enumerate_bruteforce,
-    enumerate_fast,
     irreducible_count,
     irreducible_enumerate,
     two_squares_fixed_point,
@@ -38,6 +37,8 @@ from .render import SvgDocument, lattice_svg, tiling_svg
 from .windmill import Color, Solution, all_windmill_bases, fast_solution_for_pair
 
 _INPUT_BOUND = 2**62
+# windmill bases listed by `lattice`; a slope lattice has at most about p/6
+_BASES_LIMIT = 2 * 10**5
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -103,7 +104,7 @@ def _fmt_vertex(v: tuple[Fraction, Fraction]) -> str:
 
 def check_count(p: int) -> str | None:
     """Solution count |S_p| = (p+1)/2, by brute force."""
-    n = len(enumerate_bruteforce(p))
+    n = len(_bruteforce_rows(p))
     if n != (p + 1) // 2:
         return f"p={p}: brute-force count {n} != {(p + 1) // 2}"
     return None
@@ -111,10 +112,10 @@ def check_count(p: int) -> str | None:
 
 def check_oracle(p: int) -> str | None:
     """Fast enumeration equals the brute-force oracle as a set."""
-    fast = enumerate_fast(p)
-    brute = enumerate_bruteforce(p)
+    fast = _checked_rows(p)
+    brute = _bruteforce_rows(p)
     if fast != brute:
-        diff = sorted((fast ^ brute))[:4]
+        diff = [Solution(*row, p) for row in sorted(fast ^ brute)[:4]]
         return f"p={p}: fast != brute force, first differences {diff}"
     return None
 
@@ -243,11 +244,18 @@ def _write_svg(doc: SvgDocument, path: str) -> None:
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     s = SlopeClass(args.p, args.mu)
-    # render and write before printing, so that a picture out of range or an
-    # unwritable path fails with no output
+    basis = lambda_mu(s)
+    # check the listing cap, then render and write, before printing, so that
+    # a refused input, a picture out of range or an unwritable path fails
+    # with no output
+    bases = all_windmill_bases(basis)
+    if bases is not None and bases.count > _BASES_LIMIT:
+        raise ValueError(
+            f"the lattice has {bases.count} windmill bases; "
+            f"lattice lists at most {_BASES_LIMIT}"
+        )
     if args.svg:
         _write_svg(lattice_svg(s, args.extent), args.svg)
-    basis = lambda_mu(s)
     red = gauss_reduce(basis)
     data = voronoi_cell(basis)
     print(f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}")
@@ -255,7 +263,6 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     print(f"minimal vector: {_fmt_vec(minimal_vector(basis))}")
     print(f"voronoi vectors: {', '.join(_fmt_vec(w) for w in data.vectors)}")
     print(f"voronoi cell: {', '.join(_fmt_vertex(v) for v in data.cell_vertices)}")
-    bases = all_windmill_bases(basis)
     if bases is None:
         print("no windmill basis")
     else:

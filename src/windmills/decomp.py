@@ -3,7 +3,7 @@ and irreducible-matrix counting."""
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
 from .lattice2d import _reduce_raw
@@ -41,34 +41,47 @@ class IrreducibleMatrix(NamedTuple):
         )
 
 
-def enumerate_bruteforce(p: int) -> set[Solution]:
-    """All of S_p by direct scan over (c, d) and divisor pairs of p - c*d.
-
-    S_p is closed under the swaps a <-> b and c <-> d, so the scan visits only
-    c <= d and adds all four orders of each hit.  Both of a, b must exceed d,
-    so a*b = p - c*d > d*d; that bound fails for good once it fails, because
-    p - c*d falls and d*d grows with d, and it ends the inner scan.
-
-    Independent of the lattice machinery; the oracle side of the dual route.
-    """
+def _bruteforce_rows(p: int) -> set[tuple[int, int, int, int]]:
+    # S_p as plain (a, b, c, d) rows by the congruence search that
+    # enumerate_bruteforce describes, for an odd prime p <= _BRUTE_LIMIT; the
+    # c = 0 rows are seeded, and a = 1 leaves no c in [1, a - 1]
     _require_odd_prime(p)
     if p > _BRUTE_LIMIT:
         raise ValueError(f"brute-force enumeration is limited to p <= {_BRUTE_LIMIT}")
-    sols = set()
-    top = isqrt(p)
-    for c in range(top + 1):
-        for d in range(c, top + 1):
-            r = p - c * d
-            if r <= d * d:
-                break
-            for a in range(d + 1, isqrt(r) + 1):
-                if r % a == 0:
-                    b = r // a
-                    sols.add(Solution(a, b, c, d, p))
-                    sols.add(Solution(b, a, c, d, p))
-                    sols.add(Solution(a, b, d, c, p))
-                    sols.add(Solution(b, a, d, c, p))
-    return sols
+    rows = {(1, p, 0, 0), (p, 1, 0, 0)}
+    for a in range(2, isqrt(p) + 1):
+        aa = a * a
+        pa = p % a
+        for c in range(1, min(a - 1, isqrt(p - aa)) + 1):
+            if gcd(c, a) != 1:
+                continue
+            d = pa * pow(c, -1, a) % a
+            if d >= c and p - c * d >= aa:
+                b = (p - c * d) // a
+                rows.update(((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c)))
+    return rows
+
+
+def enumerate_bruteforce(p: int) -> set[Solution]:
+    """All of S_p by a direct search over (a, c) that solves for d.
+
+    S_p is closed under the swaps a <-> b and c <-> d, so the search looks
+    only for rows with c <= d < a <= b and adds all four orders of each hit.
+    Such a row has a*a <= a*b = p - c*d <= p - c*c, so a <= isqrt(p) and
+    c <= min(a - 1, isqrt(p - a*a)).  For each such (a, c), a divides
+    p - c*d exactly when c*d = p (mod a), and d < a leaves one candidate:
+    - for c >= 1, a common factor g > 1 of c and a would divide p = a*b + c*d,
+      which is prime and larger than g, so there is no row; otherwise
+      d = p * c**-1 (mod a), taken in [0, a);
+    - for c = 0 the congruence says a divides p, so a = 1, d = 0 and the row
+      is (1, p, 0, 0).
+    The candidate is a row when d >= c and a*a <= p - c*d, with
+    b = (p - c*d) / a.  That is about pi*p/8 pairs with one modular inverse
+    each, instead of trial division.
+
+    Independent of the lattice machinery; the oracle side of the dual route.
+    """
+    return {Solution(a, b, c, d, p) for a, b, c, d in _bruteforce_rows(p)}
 
 
 def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:

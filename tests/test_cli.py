@@ -12,7 +12,7 @@ import pytest
 
 from goldens import GOLDEN_ORBITS
 import windmills
-from windmills import cli, decomp, lattice2d, numtheory
+from windmills import cli, decomp, lattice2d, numtheory, windmill
 from windmills.numtheory import is_prime
 
 
@@ -228,6 +228,17 @@ class TestLattice:
         assert "extent must lie in [1, 50]" in err
         assert out == "" and not target.exists()
 
+    def test_refuses_listing_above_cap(self, capsys, monkeypatch, tmp_path):
+        def no_listing(self):
+            raise AssertionError("a refused lattice must not list its bases")
+
+        monkeypatch.setattr(windmill.WindmillBasisSet, "bases", no_listing)
+        target = tmp_path / "lattice.svg"
+        # mu = p - 2 has about p/6 windmill bases: 333 334 here
+        code, out, err = run(["lattice", "2000003", "2000001", "--svg", str(target)], capsys)
+        assert code == 2 and out == "" and not target.exists()
+        assert "333334 windmill bases" in err and "at most 200000" in err
+
     def test_unwritable_svg_path_prints_nothing(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.svg"
         code, out, err = run(["lattice", "13", "7", "--svg", str(target)], capsys)
@@ -340,6 +351,25 @@ class TestVerify:
         code, out, err = run(["verify", "--max-p", "60001", "--mode", "oracle"], capsys)
         assert code == 2 and out == ""
         assert "mode oracle accepts bounds in [1, 60000]" in err
+
+    def test_sweep_workers_build_no_solution_objects(self, monkeypatch):
+        def no_solution(*args):
+            raise AssertionError("a passing sweep works on plain rows")
+
+        monkeypatch.setattr(decomp, "Solution", no_solution)
+        monkeypatch.setattr(cli, "Solution", no_solution)
+        assert cli.check_count(10007) is None
+        assert cli.check_oracle(10007) is None
+
+    def test_oracle_and_count_report_a_missing_row(self, monkeypatch):
+        real = cli._bruteforce_rows
+        monkeypatch.setattr(cli, "_bruteforce_rows", lambda p: real(p) - {(3, 3, 2, 2)})
+        # both messages as the sweeps printed them over Solution sets
+        assert cli.check_oracle(13) == (
+            "p=13: fast != brute force, first differences "
+            "[Solution(a=3, b=3, c=2, d=2, p=13)]"
+        )
+        assert cli.check_count(13) == "p=13: brute-force count 6 != 7"
 
     def test_color_proves_p_prime_once(self, monkeypatch):
         calls = []

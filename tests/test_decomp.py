@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from goldens import GOLDEN_ORBITS, GOLDEN_TOTALS
 from oracles import odd_primes
-from windmills import decomp
+from windmills import decomp, lattice2d, windmill
 from windmills.decomp import (
     IrreducibleMatrix,
     OrbitEntry,
@@ -138,6 +138,25 @@ class TestEnumerateBruteforce:
             enumerate_bruteforce(4)
         with pytest.raises(ValueError):
             enumerate_bruteforce(1_000_003)
+
+    def test_independent_of_the_walk(self, monkeypatch):
+        primes = (3, 5, 13, 101, 1009, 10007)
+        want = {p: enumerate_bruteforce(p) for p in primes}
+
+        def refuse(*args):
+            raise AssertionError("the brute-force oracle must not use the lattice walk")
+
+        for module, name in (
+            (lattice2d, "_reduce_raw"),
+            (windmill, "_fast_solution_raw"),
+            (decomp, "_reduce_raw"),
+            (decomp, "_fast_solution_raw"),
+            (decomp, "_walk_rows"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        for p in primes:
+            assert enumerate_bruteforce(p) == want[p], p
+            assert decomp._bruteforce_rows(p) == {s.key for s in want[p]}, p
 
 
 class TestEnumerateFast:
