@@ -27,7 +27,6 @@ from .lattice2d import (
     triangle_basis_test,
     upper_rep,
     voronoi_cell,
-    voronoi_vectors,
 )
 from .numtheory import (
     Residue,

@@ -24,8 +24,8 @@ from .decomp import (
 )
 from .lattice2d import (
     IVec2,
-    LatticeBasis,
     SlopeClass,
+    _reduce_raw,
     gauss_reduce,
     lambda_mu,
     minimal_vector,
@@ -34,7 +34,13 @@ from .lattice2d import (
 )
 from .numtheory import _require_odd_prime
 from .render import SvgDocument, lattice_svg, tiling_svg
-from .windmill import Color, Solution, all_windmill_bases, fast_solution_for_pair
+from .windmill import (
+    Color,
+    Solution,
+    _windmill_pair_raw,
+    all_windmill_bases,
+    fast_solution_for_pair,
+)
 
 _INPUT_BOUND = 2**62
 # windmill bases listed by `lattice`; a slope lattice has at most about p/6
@@ -123,26 +129,27 @@ def check_oracle(p: int) -> str | None:
 def check_color(p: int) -> str | None:
     """No windmill basis exactly on slopes 0, 1, p-1 and infinity; colors flip
     under mu -> p - mu and mu -> 1/mu; exactly (p-3)/2 black slopes."""
-    # prove p prime once; a SlopeClass per slope would prove it again each time
+    # prove p prime once; a SlopeClass per slope would prove it again each time.
+    # The cone pick on each slope's own reduction tells existence and color.
     _require_odd_prime(p)
-    colors: dict[int, Color] = {}
+    black: dict[int, bool] = {}
     for mu in range(p):
-        found_set = all_windmill_bases(LatticeBasis(IVec2(p, 0), IVec2(-mu, 1)))
+        pair = _windmill_pair_raw(*_reduce_raw(p, 0, -mu, 1))
         if mu in (0, 1, p - 1):
-            if found_set is not None:
+            if pair is not None:
                 return f"p={p}, mu={mu}: unexpected windmill basis"
-        elif found_set is None:
+        elif pair is None:
             return f"p={p}, mu={mu}: missing windmill basis"
         else:
-            colors[mu] = found_set.color
-    if all_windmill_bases(LatticeBasis(IVec2(1, 0), IVec2(0, p))) is not None:
+            black[mu] = pair[0]
+    if _windmill_pair_raw(*_reduce_raw(1, 0, 0, p)) is not None:
         return f"p={p}, mu=infinity: unexpected windmill basis"
-    for mu, color in colors.items():
-        if colors[p - mu] == color:
+    for mu, is_black in black.items():
+        if black[p - mu] == is_black:
             return f"p={p}: colors of mu={mu} and p-mu={p - mu} do not flip"
-        if colors[pow(mu, -1, p)] == color:
+        if black[pow(mu, -1, p)] == is_black:
             return f"p={p}: colors of mu={mu} and 1/mu={pow(mu, -1, p)} do not flip"
-    blacks = sum(1 for color in colors.values() if color is Color.BLACK)
+    blacks = sum(black.values())
     if blacks != (p - 3) // 2:
         return f"p={p}: {blacks} black slopes instead of {(p - 3) // 2}"
     return None

@@ -203,11 +203,16 @@ def is_primitive(w: IVec2, s: SlopeClass) -> bool:
         raise ValueError("the zero vector is not primitive")
     if not contains(s, w):
         raise ValueError(f"{w} does not belong to the lattice")
-    g = gcd(abs(w.x), abs(w.y))
-    for k in range(2, g + 1):
-        if g % k == 0 and contains(s, IVec2(w.x // k, w.y // k)):
-            return False
-    return True
+    # The lattice is the kernel of a linear form mod p, so w/k stays in it for
+    # every k | gcd(w) prime to p: w is primitive exactly when its gcd is a
+    # power of p and, if it is not 1, w/p is not a member (nor then is w/p^j).
+    p = s.p
+    g = h = gcd(w.x, w.y)
+    while h % p == 0:
+        h //= p
+    if h > 1:
+        return False
+    return g == 1 or not contains(s, IVec2(w.x // p, w.y // p))
 
 
 def minimal_vector(b: LatticeBasis) -> IVec2:
@@ -223,48 +228,31 @@ def minimal_vector(b: LatticeBasis) -> IVec2:
     return r
 
 
-def _voronoi_vectors_raw(b: LatticeBasis) -> list[IVec2]:
-    # Canonical Voronoi vectors from the reduced basis; the third one (short
-    # diagonal) exists exactly when the reduced basis is not orthogonal.
-    red = gauss_reduce(b)
-    r, s = red.u, red.v
-    vecs = [upper_rep(r), upper_rep(s)]
-    d = r.dot(s)
-    if d > 0:
-        vecs.append(upper_rep(r - s))
-    elif d < 0:
-        vecs.append(upper_rep(r + s))
-    return vecs
+def _voronoi_vectors_raw(b: LatticeBasis) -> tuple[list[IVec2], list[tuple[int, int]]]:
+    # Canonical Voronoi vectors of the reduced basis (r, s), in that order; the
+    # third one (short diagonal) exists exactly when it is not orthogonal.
+    # Also the cell's edge normals from r to s counterclockwise, with the pair
+    # turned so that <r, s> <= 0 < cross(r, s): r, r + s (when not
+    # orthogonal), s.  Their negatives are the other half.
+    rx, ry, sx, sy = _reduce_raw(b.u.x, b.u.y, b.v.x, b.v.y)
+    vecs = [upper_rep(IVec2(rx, ry)), upper_rep(IVec2(sx, sy))]
+    dot = rx * sx + ry * sy
+    if dot > 0:
+        sx, sy = -sx, -sy
+    if rx * sy - ry * sx < 0:
+        rx, ry, sx, sy = sx, sy, rx, ry
+    if dot == 0:
+        return vecs, [(rx, ry), (sx, sy)]
+    vecs.append(upper_rep(IVec2(rx + sx, ry + sy)))
+    return vecs, [(rx, ry), (rx + sx, ry + sy), (sx, sy)]
 
 
-def _angle_key_half(w: IVec2) -> int:
-    # 0 for polar angle in [0, pi), 1 otherwise
-    return 0 if (w.y > 0 or (w.y == 0 and w.x > 0)) else 1
-
-
-def _sorted_ccw(vecs: list[IVec2]) -> list[IVec2]:
-    # Exact counterclockwise order by polar angle from 0, no floating point:
-    # split at the half-plane boundary, then compare by cross-product sign.
-    def before(a: IVec2, b: IVec2) -> bool:
-        ha, hb = _angle_key_half(a), _angle_key_half(b)
-        if ha != hb:
-            return ha < hb
-        return a.cross(b) > 0
-
-    out: list[IVec2] = []
-    for v in vecs:
-        i = 0
-        while i < len(out) and before(out[i], v):
-            i += 1
-        out.insert(i, v)
-    return out
-
-
-def _edge_intersection(w1: IVec2, w2: IVec2) -> Vertex:
+def _edge_intersection(w1: tuple[int, int], w2: tuple[int, int]) -> Vertex:
     # Intersection of the two edge lines 2<x, w> = <w, w>.
-    n1, n2 = w1.norm2(), w2.norm2()
-    d = 2 * w1.cross(w2)
-    return (Fraction(n1 * w2.y - n2 * w1.y, d), Fraction(n2 * w1.x - n1 * w2.x, d))
+    (x1, y1), (x2, y2) = w1, w2
+    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    d = 2 * (x1 * y2 - y1 * x2)
+    return (Fraction(n1 * y2 - n2 * y1, d), Fraction(n2 * x1 - n1 * x2, d))
 
 
 def voronoi_cell(b: LatticeBasis) -> VoronoiData:
@@ -272,29 +260,20 @@ def voronoi_cell(b: LatticeBasis) -> VoronoiData:
 
     The vectors are the reduced pair, plus the short diagonal in the
     non-orthogonal case, one canonical representative per +- pair; the cell is
-    bounded by 2<x, w> <= <w, w> over them.  voronoi_vectors is the same
-    function under a second name.
+    bounded by 2<x, w> <= <w, w> over them.
     """
-    vecs = _voronoi_vectors_raw(b)
-    normals = _sorted_ccw(vecs + [-w for w in vecs])
-    k = len(normals)
-    verts = [_edge_intersection(normals[i], normals[(i + 1) % k]) for i in range(k)]
-    # rotate to start from the vertex with the largest polar angle below pi
-    start = None
-    for i, (x, y) in enumerate(verts):
-        if y > 0 or (y == 0 and x > 0):
-            if start is None:
-                start = i
-            else:
-                sx, sy = verts[start]
-                if sx * y - sy * x > 0:
-                    start = i
-    assert start is not None
-    verts = verts[start:] + verts[:start]
-    return VoronoiData(tuple(vecs), tuple(verts))
-
-
-voronoi_vectors = voronoi_cell
+    vecs, half = _voronoi_vectors_raw(b)
+    # one vertex between each two consecutive normals; the cell is symmetric
+    # about the origin, so the vertices past -r are the first ones negated
+    rx, ry = half[0]
+    first = [_edge_intersection(w1, w2) for w1, w2 in zip(half, half[1:] + [(-rx, -ry)])]
+    verts = first + [(-x, -y) for x, y in first]
+    # the vertices in the upper half-plane form one contiguous run; start from
+    # its last one, the vertex with the largest polar angle below pi
+    upper = [y > 0 or (y == 0 and x > 0) for x, y in verts]
+    k = len(verts)
+    start = next(i for i in range(k) if upper[i] and not upper[(i + 1) % k])
+    return VoronoiData(tuple(vecs), tuple(verts[start:] + verts[:start]))
 
 
 def interlaced(f1: IVec2, f2: IVec2, g1: IVec2, g2: IVec2) -> bool:

@@ -387,6 +387,47 @@ class TestVerify:
         with pytest.raises(ValueError, match="odd prime"):
             cli.check_color(91)
 
+    @pytest.mark.parametrize(
+        "slopes,fault,message",
+        [
+            ((5,), "drop", "p=13, mu=5: missing windmill basis"),
+            ((1,), "plant", "p=13, mu=1: unexpected windmill basis"),
+            ((None,), "plant", "p=13, mu=infinity: unexpected windmill basis"),
+            ((11,), "flip", "p=13: colors of mu=2 and p-mu=11 do not flip"),
+            ((2, 11), "flip", "p=13: colors of mu=2 and 1/mu=7 do not flip"),
+        ],
+    )
+    def test_color_reports_each_fault(self, monkeypatch, slopes, fault, message):
+        # The pick sees only a reduced basis, so the fake knows a faulty
+        # slope by that slope's own.  The messages are those the sweep printed
+        # when the same faults were planted in each slope's WindmillBasisSet.
+        real = cli._windmill_pair_raw
+        targets = {
+            lattice2d._reduce_raw(*((1, 0, 0, 13) if mu is None else (13, 0, -mu, 1)))
+            for mu in slopes
+        }
+
+        def faulty(*reduced):
+            pair = real(*reduced)
+            if reduced not in targets:
+                return pair
+            if fault == "drop":
+                return None
+            if fault == "plant":
+                return True, (1, 0), (0, 1)
+            black, u, v = pair
+            return not black, u, v
+
+        monkeypatch.setattr(cli, "_windmill_pair_raw", faulty)
+        assert cli.check_color(13) == message
+
+    def test_color_builds_no_windmill_basis_set(self, monkeypatch):
+        def no_set(b):
+            raise AssertionError("check_color needs only the cone pick")
+
+        monkeypatch.setattr(cli, "all_windmill_bases", no_set)
+        assert cli.check_color(10007) is None
+
 
 class TestIrreducible:
     def test_count_6(self, capsys):
@@ -470,6 +511,16 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_public_names_are_distinct_objects():
+    # one public name per function, class or module of the package
+    seen = {}
+    for name in dir(windmills):
+        if not name.startswith("_"):
+            obj = getattr(windmills, name)
+            assert id(obj) not in seen, f"{name} and {seen[id(obj)]} are one object"
+            seen[id(obj)] = name
 
 
 def test_imports_only_the_standard_library():

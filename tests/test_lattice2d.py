@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from windmills.lattice2d import (
     triangle_basis_test,
     upper_rep,
     voronoi_cell,
-    voronoi_vectors,
 )
 
 V = IVec2
@@ -240,14 +240,25 @@ class TestIsPrimitive:
             is_primitive(V(0, 0), s)
 
     def test_against_window_scan(self):
-        s = SlopeClass(13, 7)
-        pts = slope_points(13, 7, 13)
-        for w in pts:
-            expected = not any(
-                (w[0] % k == 0 and w[1] % k == 0 and (w[0] // k, w[1] // k) in pts)
-                for k in range(2, 14)
-            )
-            assert is_primitive(V(*w), s) == expected
+        # every k up to the window's reach, on every slope, infinity included
+        for p in (3, 5, 7, 13, 17):
+            for mu in [*range(p), None]:
+                s = SlopeClass(p, mu)
+                pts = set(slope_points(p, mu, 2 * p))
+                for w in pts:
+                    expected = not any(
+                        (w[0] % k == 0 and w[1] % k == 0 and (w[0] // k, w[1] // k) in pts)
+                        for k in range(2, 2 * p + 1)
+                    )
+                    assert is_primitive(V(*w), s) == expected, (p, mu, w)
+
+    def test_largest_accepted_prime(self):
+        # a divisor scan up to gcd = p would never finish here
+        p = 2**61 - 1
+        s = SlopeClass(p, 1)
+        assert is_primitive(V(p, 0), s)
+        assert not is_primitive(V(2 * p, 0), s)
+        assert not is_primitive(V(p * p, 0), s)
 
 
 class TestMinimalVector:
@@ -270,18 +281,18 @@ class TestMinimalVector:
 
 class TestVoronoi:
     def test_vectors_running_example(self):
-        data = voronoi_vectors(lambda_mu(SlopeClass(13, 7)))
+        data = voronoi_cell(lambda_mu(SlopeClass(13, 7)))
         assert set(data.vectors) == {V(-1, 2), V(5, 3), V(6, 1)}
 
     def test_vectors_unit_lattice(self):
-        data = voronoi_vectors(basis(1, 0, 0, 1))
+        data = voronoi_cell(basis(1, 0, 0, 1))
         assert set(data.vectors) == {V(1, 0), V(0, 1)}
         assert len(data.cell_vertices) == 4
 
     def test_rectangle_iff_orthogonal(self):
         for p in odd_primes(60):
             for mu in [*range(p), None]:
-                data = voronoi_vectors(lambda_mu(SlopeClass(p, mu)))
+                data = voronoi_cell(lambda_mu(SlopeClass(p, mu)))
                 red = gauss_reduce(lambda_mu(SlopeClass(p, mu)))
                 if red.u.dot(red.v) == 0:
                     assert len(data.vectors) == 2 and len(data.cell_vertices) == 4
@@ -324,6 +335,33 @@ class TestVoronoi:
                     if v2 == n:
                         supports += 1
                 assert supports == 2  # an edge, not just a touch
+
+    @given(small_bases())
+    @settings(max_examples=100, deadline=None)
+    def test_cell_order_on_general_bases(self, b):
+        verts = voronoi_cell(b).cell_vertices
+        k = len(verts)
+        for i in range(k):
+            (x0, y0), (x1, y1), (x2, y2) = verts[i], verts[(i + 1) % k], verts[(i + 2) % k]
+            # each step goes counterclockwise around the origin, and each
+            # edge turns left into the next
+            assert x0 * y1 - y0 * x1 > 0
+            assert (x1 - x0) * (y2 - y1) - (y1 - y0) * (x2 - x1) > 0
+        # one turn, starting from the last vertex of the upper half-plane run
+        upper = [y > 0 or (y == 0 and x > 0) for x, y in verts]
+        assert upper == [True] + [False] * (k // 2) + [True] * (k // 2 - 1)
+        # The Voronoi-relevant vectors are the reduced pair and its short
+        # diagonal, of norm at most l1^2 + l2^2 <= 2 max(|u|^2, |v|^2), since the
+        # successive minima l1 <= l2 are at most max(|u|, |v|); the cell lies
+        # within half of that length from the origin.
+        n = 2 * max(b.u.norm2(), b.v.norm2())
+        bound = isqrt(n) + 1
+        pts = [
+            (x, y)
+            for x, y in basis_points(b.u.x, b.u.y, b.v.x, b.v.y, bound)
+            if x * x + y * y <= n
+        ]
+        assert set(verts) == bf_voronoi_cell(pts, bound)
 
     @given(small_bases())
     @settings(max_examples=100)
