@@ -8,7 +8,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
@@ -17,6 +16,7 @@ from .decomp import (
     _bruteforce_rows,
     _checked_rows,
     _orbit_table,
+    _walk_rows,
     irreducible_count,
     irreducible_enumerate,
     two_squares_fixed_point,
@@ -26,10 +26,8 @@ from .lattice2d import (
     IVec2,
     SlopeClass,
     _reduce_raw,
-    gauss_reduce,
     lambda_mu,
     minimal_vector,
-    upper_rep,
     voronoi_cell,
 )
 from .numtheory import _require_odd_prime
@@ -49,29 +47,6 @@ _BASES_LIMIT = 2 * 10**5
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class Report:
-    """Machine-readable command report; round-trips losslessly through JSON."""
-
-    command: str
-    inputs: dict
-    results: dict
-    timing_ms: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> Report:
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            inputs=data["inputs"],
-            results=data["results"],
-            timing_ms=data["timing_ms"],
-        )
 
 
 def _bounded_int(text: str) -> int:
@@ -118,8 +93,10 @@ def check_count(p: int) -> str | None:
 
 def check_oracle(p: int) -> str | None:
     """Fast enumeration equals the brute-force oracle as a set."""
-    fast = _checked_rows(p)
+    # brute force first: it proves p prime, and a faulty walk then shows up
+    # in the comparison instead of failing the walk's own count
     brute = _bruteforce_rows(p)
+    fast = set(_walk_rows(p))
     if fast != brute:
         diff = [Solution(*row, p) for row in sorted(fast ^ brute)[:4]]
         return f"p={p}: fast != brute force, first differences {diff}"
@@ -263,10 +240,10 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         )
     if args.svg:
         _write_svg(lattice_svg(s, args.extent), args.svg)
-    red = gauss_reduce(basis)
+    # the first two Voronoi vectors are the canonical reduced pair
     data = voronoi_cell(basis)
     print(f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}")
-    print(f"reduced basis: {_fmt_vec(upper_rep(red.u))}, {_fmt_vec(upper_rep(red.v))}")
+    print(f"reduced basis: {_fmt_vec(data.vectors[0])}, {_fmt_vec(data.vectors[1])}")
     print(f"minimal vector: {_fmt_vec(minimal_vector(basis))}")
     print(f"voronoi vectors: {', '.join(_fmt_vec(w) for w in data.vectors)}")
     print(f"voronoi cell: {', '.join(_fmt_vertex(v) for v in data.cell_vertices)}")
@@ -308,14 +285,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     checked, failures = run_verify(args.mode, args.max_p, jobs)
     elapsed = time.perf_counter() - t0
-    report = Report(
-        command="verify",
-        inputs={"mode": args.mode, "max_p": args.max_p, "jobs": jobs},
-        results={"checked": checked, "failures": failures},
-        timing_ms=elapsed * 1000.0,
-    )
     if args.format == "json":
-        print(report.to_json())
+        payload = {
+            "command": "verify",
+            "inputs": {"mode": args.mode, "max_p": args.max_p, "jobs": jobs},
+            "results": {"checked": checked, "failures": failures},
+            "timing_ms": elapsed * 1000.0,
+        }
+        print(json.dumps(payload, indent=2))
     else:
         for message in failures:
             print(f"FAIL {message}")

@@ -110,11 +110,10 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
         if partner < mu:
             continue
         ax, ay, bx, by = _reduce_raw(p, 0, -mu, 1)
-        yield _fast_solution_raw(p, mu, (ax, ay, bx, by))[1]
+        yield _fast_solution_raw(p, ax, ay, bx, by)[1]
         if partner != mu:
             # the swapped basis spans the lattice of slope exactly 1/mu
-            slope = partner if partner * mu % p == 1 else p - partner
-            yield _fast_solution_raw(p, slope, (ay, ax, by, bx))[1]
+            yield _fast_solution_raw(p, ay, ax, by, bx)[1]
 
 
 def _checked_rows(p: int) -> set[tuple[int, int, int, int]]:
@@ -122,7 +121,7 @@ def _checked_rows(p: int) -> set[tuple[int, int, int, int]]:
     # asserted: every caller of the walk takes its rows here
     _require_odd_prime(p)
     rows = set(_walk_rows(p))
-    assert len(rows) == (p + 1) // 2
+    assert len(rows) == (p + 1) // 2, f"p={p}: the walk gave {len(rows)} rows, not {(p + 1) // 2}"
     return rows
 
 

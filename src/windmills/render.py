@@ -10,15 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .lattice2d import (
-    IVec2,
-    SlopeClass,
-    contains,
-    gauss_reduce,
-    lambda_mu,
-    upper_rep,
-    voronoi_cell,
-)
+from .lattice2d import IVec2, SlopeClass, contains, lambda_mu, voronoi_cell
 from .windmill import Solution, standard_black_basis
 
 SCALE = 10  # pixels per lattice unit
@@ -160,8 +152,8 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
                     f'fill="{_POINT_FILL}"/>'
                 )
 
-    red = gauss_reduce(basis)
-    for w in (upper_rep(red.u), upper_rep(red.v)):
+    # the first two Voronoi vectors are the canonical reduced pair
+    for w in cell.vectors[:2]:
         lines.append(_arrow(px(0), py(0), px(w.x), py(w.y), _REDUCED_EDGE, "arr-reduced"))
 
     if not s.is_infinity and 2 <= s.mu <= s.p - 2:

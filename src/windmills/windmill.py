@@ -10,7 +10,9 @@ p = a*b + c*d through the standard form u = (a, c), v = (-d, b).
 The work happens on plain integers in three layers: lattice2d._reduce_raw
 Lagrange-reduces the basis, _windmill_pair_raw picks the windmill pair among
 the Voronoi vectors of the reduced basis, and _standard_basis_raw mirrors a
-white pair onto a black one and slides it to the standard basis.  The object
+white pair onto a black one and slides it to the standard basis.  The
+per-slope kernel _fast_solution_raw takes a reduced basis, so the walk can
+hand one reduction to two slopes, and checks the row it slides to.  The object
 API (find_windmill_basis, all_windmill_bases, standard_black_basis,
 fast_solution_for_pair) sits on top of these layers; classify_cone is the
 public classifier over the whole plane and stays off the hot path.
@@ -242,20 +244,15 @@ def _require_generic_slope(s: SlopeClass) -> tuple[int, int]:
 
 
 def _fast_solution_raw(
-    p: int, mu: int, reduced: tuple[int, int, int, int] | None = None
-) -> tuple[int, tuple[int, int, int, int]]:
-    # Reduce the slope basis and take its standard basis; a white lattice is
-    # mirrored onto the slope p - mu.  A caller that already holds a
-    # Lagrange-reduced basis of the slope's lattice passes it as `reduced` and
-    # skips the reduction.
-    if reduced is None:
-        reduced = _reduce_raw(p, 0, -mu, 1)
-    black, row = _standard_basis_raw(*reduced)
-    if not black:
-        mu = p - mu
+    p: int, ax: int, ay: int, bx: int, by: int
+) -> tuple[bool, tuple[int, int, int, int]]:
+    # The standard basis of a Lagrange-reduced basis of a slope lattice:
+    # (black, (a, b, c, d)), where a white lattice's row belongs to the
+    # mirrored slope p - mu.
+    black, row = _standard_basis_raw(ax, ay, bx, by)
     a, b, c, d = row
-    assert a * b + c * d == p and min(a, b) > max(c, d) >= 0, (p, mu)
-    return mu, row
+    assert a * b + c * d == p and min(a, b) > max(c, d) >= 0, (p, row)
+    return black, row
 
 
 def standard_black_basis(s: SlopeClass) -> Solution | None:
@@ -266,13 +263,13 @@ def standard_black_basis(s: SlopeClass) -> Solution | None:
     and the rightmost one of the N-NW cone.
     """
     p, mu = _require_generic_slope(s)
-    black_mu, row = _fast_solution_raw(p, mu)
-    return Solution(*row, p) if black_mu == mu else None
+    black, row = _fast_solution_raw(p, *_reduce_raw(p, 0, -mu, 1))
+    return Solution(*row, p) if black else None
 
 
 def fast_solution_for_pair(s: SlopeClass) -> tuple[SlopeClass, Solution]:
     """The solution carried by the slope pair {mu, p - mu}, with the member of
     the pair whose lattice is black.  O(log p) integer operations."""
     p, mu = _require_generic_slope(s)
-    mu_star, (a, b, c, d) = _fast_solution_raw(p, mu)
-    return SlopeClass(p, mu_star), Solution(a, b, c, d, p)
+    black, row = _fast_solution_raw(p, *_reduce_raw(p, 0, -mu, 1))
+    return SlopeClass(p, mu if black else p - mu), Solution(*row, p)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -272,8 +273,40 @@ class TestVerify:
         payload = json.loads(out)
         jsonschema.validate(payload, load_schema("report.v1.json"))
         assert payload["results"]["failures"] == []
-        report = cli.Report.from_json(out)
-        assert report.command == "verify"
+        assert payload["command"] == "verify"
+
+    @pytest.mark.parametrize(
+        "mode,code,failures",
+        [
+            ("oracle", 0, "[]"),
+            ("count", 1, '[\n      "p=13: brute-force count 6 != 7"\n    ]'),
+        ],
+        ids=["pass", "fail"],
+    )
+    def test_json_bytes_are_pinned(self, capsys, monkeypatch, mode, code, failures):
+        # the count sweep fails at p = 13 on a brute force short of one row
+        if code:
+            real = cli._bruteforce_rows
+            monkeypatch.setattr(cli, "_bruteforce_rows", lambda p: real(p) - {(3, 3, 2, 2)})
+        got, out, _ = run(
+            ["verify", "--max-p", "60", "--mode", mode, "--format", "json", "--jobs", "1"], capsys
+        )
+        assert got == code
+        assert re.sub(r'"timing_ms": .*', '"timing_ms": 0', out) == (
+            "{\n"
+            '  "command": "verify",\n'
+            '  "inputs": {\n'
+            f'    "mode": "{mode}",\n'
+            '    "max_p": 60,\n'
+            '    "jobs": 1\n'
+            "  },\n"
+            '  "results": {\n'
+            '    "checked": 16,\n'
+            f'    "failures": {failures}\n'
+            "  },\n"
+            '  "timing_ms": 0\n'
+            "}\n"
+        )
 
     @pytest.mark.parametrize(
         "flag,env", [(["--jobs", "-3"], None), ([], "-1"), (["--jobs", "0"], None)]
@@ -370,6 +403,21 @@ class TestVerify:
             "[Solution(a=3, b=3, c=2, d=2, p=13)]"
         )
         assert cli.check_count(13) == "p=13: brute-force count 6 != 7"
+
+    def test_oracle_reports_a_faulty_walk(self, capsys, monkeypatch):
+        # a walk short of one row fails the comparison, not the walk's count
+        real = cli._walk_rows
+        monkeypatch.setattr(cli, "_walk_rows", lambda p: (r for r in real(p) if r != (3, 3, 2, 2)))
+        message = (
+            "p=13: fast != brute force, first differences "
+            "[Solution(a=3, b=3, c=2, d=2, p=13)]"
+        )
+        assert cli.check_oracle(13) == message
+        code, out, _ = run(["verify", "--max-p", "30", "--mode", "oracle", "--jobs", "1"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == f"FAIL {message}"
+        assert lines[1].startswith("verify mode=oracle max=30: 9 cases, 1 failures (")
 
     def test_color_proves_p_prime_once(self, monkeypatch):
         calls = []
@@ -490,21 +538,6 @@ class TestTiling:
         code, _, _ = run(["tiling", "5", "2", "2", "1", "1", "--out", str(target)], capsys)
         assert code == 0
         assert target.exists()
-
-
-class TestReport:
-    def test_json_round_trip(self):
-        report = cli.Report(
-            command="verify",
-            inputs={"mode": "count", "max_p": 100, "jobs": 1},
-            results={"checked": 24, "failures": []},
-            timing_ms=12.5,
-        )
-        assert cli.Report.from_json(report.to_json()) == report
-
-    def test_schema_matches(self):
-        report = cli.Report("x", {}, {"ok": True}, 0.0)
-        jsonschema.validate(json.loads(report.to_json()), load_schema("report.v1.json"))
 
 
 def test_unknown_command_is_usage_error():

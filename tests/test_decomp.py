@@ -50,7 +50,7 @@ def _per_slope_rows(p: int) -> set[tuple[int, int, int, int]]:
     # walk that shares one reduction per class {+-mu, +-1/mu}
     rows = {(p, 1, 0, 0), (1, p, 0, 0)}
     for mu in range(2, (p + 1) // 2):
-        rows.add(_fast_solution_raw(p, mu)[1])
+        rows.add(_fast_solution_raw(p, *lattice2d._reduce_raw(p, 0, -mu, 1))[1])
     return rows
 
 
@@ -214,6 +214,16 @@ class TestWalkRows:
         # (p-3)/2 pairs fall into classes of two, plus one self-partner class
         # when p = 1 (mod 4): 25 classes at both 101 and 103
         assert calls == {"kernel": (p - 3) // 2, "reduce": 25}
+
+    def test_count_check_names_the_prime(self, monkeypatch):
+        real = decomp._walk_rows
+
+        def short(p):
+            return (row for row in real(p) if row != (3, 3, 2, 2))
+
+        monkeypatch.setattr(decomp, "_walk_rows", short)
+        with pytest.raises(AssertionError, match=r"^p=13: the walk gave 6 rows, not 7$"):
+            enumerate_fast(13)
 
     def test_self_partner_row_is_the_two_squares_pair(self):
         # only mu*mu = -1 (mod p) is its own partner, so a row with a == b and

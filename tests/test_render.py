@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -122,6 +123,21 @@ class TestLatticeSvg:
     def test_deterministic(self):
         s = SlopeClass(13, 7)
         assert lattice_svg(s, 8).to_xml() == lattice_svg(s, 8).to_xml()
+
+    @pytest.mark.parametrize(
+        "p,digest",
+        [
+            (13, "c75b56d8af46b21c80ad103e509e3436f7fb8745aa1a2bc441fa2b1a186b5acd"),
+            (101, "19cc1062cea110fbc82c616d10e8f84b57e2c3b380204aabc7156b4811eb334e"),
+        ],
+    )
+    def test_pictures_over_every_slope_are_pinned(self, p, digest):
+        # the reduced-basis and standard-basis arrows, the cell and the points
+        # of every slope, infinity included
+        h = hashlib.sha256()
+        for s in [*(SlopeClass(p, mu) for mu in range(p)), SlopeClass.infinity(p)]:
+            h.update(lattice_svg(s, 6).to_xml().encode())
+        assert h.hexdigest() == digest
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -354,13 +356,23 @@ class TestFastSolutionForPair:
     def test_swapped_reduced_basis_serves_the_inverse_slope(self):
         # (x, y) -> (y, x) maps the lattice of slope mu onto that of 1/mu and
         # keeps a reduced basis reduced, so handing it to the kernel must give
-        # the same black slope and row as reducing the inverse slope itself
+        # the same colour and row as reducing the inverse slope itself
         for p in odd_primes(300):
             for mu in range(2, p - 1):
                 ax, ay, bx, by = _reduce_raw(p, 0, -mu, 1)
                 inverse = pow(mu, -1, p)
-                swapped = _fast_solution_raw(p, inverse, (ay, ax, by, bx))
-                assert swapped == _fast_solution_raw(p, inverse), (p, mu)
+                swapped = _fast_solution_raw(p, ay, ax, by, bx)
+                assert swapped == _fast_solution_raw(p, *_reduce_raw(p, 0, -inverse, 1)), (p, mu)
+
+    def test_results_over_every_slope_are_pinned(self):
+        # both public readings of the kernel, recorded before it took a
+        # reduced basis in place of a slope
+        h = hashlib.sha256()
+        for p in odd_primes(400):
+            for mu in range(2, p - 1):
+                s = slope(p, mu)
+                h.update(repr((fast_solution_for_pair(s), standard_black_basis(s))).encode())
+        assert h.hexdigest() == "488abaa0dd23645a8d0c953b32a5a2d711cf7682b7caa9caf83c091d2712f03a"
 
     def test_p29_matches_table_rows_with_positive_cd(self):
         expected_orbits = {
