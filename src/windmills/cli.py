@@ -269,19 +269,9 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        env = os.environ.get("WINDMILL_JOBS", "1")
-        try:
-            jobs = int(env, 10)
-        except ValueError:
-            raise ValueError(
-                f"WINDMILL_JOBS must be a positive decimal integer, got {env!r}"
-            ) from None
-    if jobs < 1:
-        raise ValueError(f"--jobs and WINDMILL_JOBS must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = min(args.jobs, os.cpu_count() or 1)
     t0 = time.perf_counter()
     checked, failures = run_verify(args.mode, args.max_p, jobs)
     elapsed = time.perf_counter() - t0
@@ -356,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run an invariant sweep")
     p_ver.add_argument("--max-p", type=_bounded_int, required=True)
     p_ver.add_argument("--mode", choices=sorted(_VERIFY_MODES), required=True)
-    p_ver.add_argument("--jobs", type=_bounded_int, help="worker processes (default WINDMILL_JOBS or 1)")
+    p_ver.add_argument("--jobs", type=_bounded_int, default=1, help="worker processes (default 1)")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -14,6 +14,7 @@ import pytest
 from goldens import GOLDEN_ORBITS
 import windmills
 from windmills import cli, decomp, lattice2d, numtheory, windmill
+from windmills.decomp import IrreducibleMatrix
 from windmills.numtheory import is_prime
 
 
@@ -156,6 +157,12 @@ class TestTwoSquares:
         code, out, err = run(["two-squares", str(10**12 + 61), "--method", method], capsys)
         assert code == 2 and out == ""
         assert f"limited to p <= {decomp._WALK_LIMIT}" in err
+
+    def test_reports_disagreement(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "two_squares_grace", lambda p: (2, 3))
+        code, out, err = run(["two-squares", "13"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: methods disagree: grace (2, 3), fixed-point (3, 2)\n"
 
 
 class TestLattice:
@@ -308,25 +315,32 @@ class TestVerify:
             "}\n"
         )
 
-    @pytest.mark.parametrize(
-        "flag,env", [(["--jobs", "-3"], None), ([], "-1"), (["--jobs", "0"], None)]
-    )
-    def test_rejects_jobs_below_one(self, capsys, monkeypatch, flag, env):
-        if env is not None:
-            monkeypatch.setenv("WINDMILL_JOBS", env)
-        code, out, err = run(["verify", "--max-p", "30", "--mode", "count", *flag], capsys)
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_rejects_jobs_below_one(self, capsys, jobs):
+        code, out, err = run(
+            ["verify", "--max-p", "30", "--mode", "count", "--jobs", jobs], capsys
+        )
         assert code == 2
         assert "at least 1" in err and out == ""
 
-    def test_rejects_non_numeric_jobs_env(self, capsys, monkeypatch):
+    def test_ignores_windmill_jobs_env(self, capsys, monkeypatch):
+        # WINDMILL_JOBS belongs to the test suite's criterion 4, not to the CLI
         def no_pool(*args, **kwargs):
-            raise AssertionError("a refused job count must not start a pool")
+            raise AssertionError("verify without --jobs runs in one process")
 
         monkeypatch.setattr(cli, "Pool", no_pool)
-        monkeypatch.setenv("WINDMILL_JOBS", "abc")
-        code, out, err = run(["verify", "--max-p", "30", "--mode", "count"], capsys)
-        assert code == 2 and out == ""
-        assert "WINDMILL_JOBS" in err and "positive decimal integer" in err
+        for value in ("abc", "2"):
+            monkeypatch.setenv("WINDMILL_JOBS", value)
+            code, out, _ = run(
+                ["verify", "--max-p", "30", "--mode", "count", "--format", "json"], capsys
+            )
+            assert code == 0
+            assert json.loads(out)["inputs"]["jobs"] == 1
+
+    def test_bound_below_three_checks_no_prime(self, capsys):
+        code, out, _ = run(["verify", "--max-p", "2", "--mode", "count"], capsys)
+        assert code == 0
+        assert out.startswith("verify mode=count max=2: 0 cases, all pass (")
 
     def test_irreducible_reports_duplicate_listing(self, monkeypatch):
         real = cli.irreducible_enumerate(6)
@@ -334,6 +348,26 @@ class TestVerify:
         monkeypatch.setattr(cli, "irreducible_enumerate", lambda n: real[:-1] + real[:1])
         message = cli.check_irreducible(6)
         assert message is not None and "duplicate" in message
+
+    @pytest.mark.parametrize(
+        "name,fake,message",
+        [
+            (
+                "irreducible_count",
+                lambda n: decomp.irreducible_count(n) + 1,
+                "n=6: formula 9 != enumeration 8",
+            ),
+            (
+                "irreducible_enumerate",
+                lambda n: decomp.irreducible_enumerate(n)[:-1] + [IrreducibleMatrix(1, 1, 1, 1, 6)],
+                "n=6: enumeration produced an invalid matrix",
+            ),
+        ],
+        ids=["count", "invalid"],
+    )
+    def test_irreducible_reports_each_fault(self, monkeypatch, name, fake, message):
+        monkeypatch.setattr(cli, name, fake)
+        assert cli.check_irreducible(6) == message
 
     def test_clamps_jobs_to_cpu_count(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -348,6 +348,9 @@ class TestTwoSquaresGrace:
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             two_squares_grace(2**62 + 5 * 4 + 1)
+        # the least prime = 1 (mod 4) above 2**62 passes the prime check
+        with pytest.raises(ValueError, match=r"p must stay below 2\*\*62"):
+            two_squares_grace(2**62 + 169)
 
     def test_agreement_with_fixed_point(self):
         for p in odd_primes(10**4):

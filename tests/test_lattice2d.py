@@ -81,6 +81,9 @@ class TestTypes:
         s = SlopeClass.infinity(5)
         assert s.is_infinity and s.mu is None
 
+    def test_subtraction(self):
+        assert V(3, 4) - V(1, 1) == V(2, 3)
+
 
 class TestDet:
     def test_examples(self):
@@ -378,6 +381,7 @@ class TestInterlaced:
     def test_repeated_line(self):
         assert not interlaced(V(1, 0), V(0, 1), V(1, 0), V(1, 1))
         assert not interlaced(V(1, 0), V(0, 1), V(-2, 0), V(1, 1))
+        assert not interlaced(V(1, 0), V(2, 0), V(0, 1), V(1, 1))  # f1, f2 dependent
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):

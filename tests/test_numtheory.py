@@ -171,6 +171,9 @@ class TestWilsonOracle:
             wilson_sqrt_minus_one_oracle(7)
         with pytest.raises(ValueError):
             wilson_sqrt_minus_one_oracle(100_003)
+        # 100003 is 3 (mod 4); 100049 is the least prime = 1 (mod 4) above the limit
+        with pytest.raises(ValueError, match="factorial oracle is limited to p <= 100000"):
+            wilson_sqrt_minus_one_oracle(100_049)
 
 
 def test_prime_list_sanity():
