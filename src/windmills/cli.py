@@ -9,12 +9,13 @@ import os
 import sys
 import time
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .decomp import (
     _WALK_LIMIT,
+    _bruteforce_hits,
     _bruteforce_rows,
     _checked_rows,
+    _irreducible_rows,
     _orbit_table,
     _walk_rows,
     irreducible_count,
@@ -60,8 +61,6 @@ def _bounded_int(text: str) -> int:
 
 
 def _odd_primes_up_to(n: int) -> list[int]:
-    if n < 3:
-        return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, int(n**0.5) + 1):
@@ -84,8 +83,16 @@ def _fmt_vertex(v: tuple[Fraction, Fraction]) -> str:
 
 
 def check_count(p: int) -> str | None:
-    """Solution count |S_p| = (p+1)/2, by brute force."""
-    n = len(_bruteforce_rows(p))
+    """Solution count |S_p| = (p+1)/2, by brute force: the two rows with
+    c = 0 plus the swap-orbit size of each hit with 1 <= c <= d < a <= b.
+
+    A hit stands for its orbit {(a, b), (b, a)} x {(c, d), (d, c)}, so no
+    row set is built, and a hit found twice raises the count instead of
+    hiding in a set.
+    """
+    n = 2
+    for a, b, c, d in _bruteforce_hits(p):
+        n += (1 if a == b else 2) * (1 if c == d else 2)
     if n != (p + 1) // 2:
         return f"p={p}: brute-force count {n} != {(p + 1) // 2}"
     return None
@@ -135,10 +142,16 @@ def check_color(p: int) -> str | None:
 def check_irreducible(n: int) -> str | None:
     """Divisor-sum formula equals the exhaustive matrix enumeration."""
     count = irreducible_count(n)
-    listed = irreducible_enumerate(n)
+    listed = _irreducible_rows(n)
     if count != len(listed):
         return f"n={n}: formula {count} != enumeration {len(listed)}"
-    if any(not m.is_valid() for m in listed):
+    # IrreducibleMatrix.is_valid on plain rows: det n, b and c nonnegative,
+    # and min(a, d) > max(b, c), spelled out, since min and max calls would
+    # cost four times as much as the comparisons
+    if any(
+        a * d - b * c != n or b < 0 or c < 0 or a <= b or a <= c or d <= b or d <= c
+        for a, b, c, d in listed
+    ):
         return f"n={n}: enumeration produced an invalid matrix"
     if len(set(listed)) != len(listed):
         return f"n={n}: enumeration produced a duplicate matrix"
@@ -160,6 +173,10 @@ def run_verify(mode: str, max_n: int, jobs: int = 1) -> tuple[int, list[str]]:
         raise ValueError(f"mode {mode} accepts bounds in [1, {cap}]")
     items = _odd_primes_up_to(max_n) if kind == "primes" else list(range(1, max_n + 1))
     if jobs > 1 and len(items) > 1:
+        # imported here: multiprocessing is a sizeable share of the CLI's
+        # import time, and a one-process sweep never needs it
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             results = pool.map(worker, items, chunksize=max(1, len(items) // (8 * jobs)))
     else:

@@ -41,14 +41,14 @@ class IrreducibleMatrix(NamedTuple):
         )
 
 
-def _bruteforce_rows(p: int) -> set[tuple[int, int, int, int]]:
-    # S_p as plain (a, b, c, d) rows by the congruence search that
-    # enumerate_bruteforce describes, for an odd prime p <= _BRUTE_LIMIT; the
-    # c = 0 rows are seeded, and a = 1 leaves no c in [1, a - 1]
+def _bruteforce_hits(p: int) -> Iterator[tuple[int, int, int, int]]:
+    # The rows of S_p with 1 <= c <= d < a <= b, as plain (a, b, c, d), by the
+    # congruence search that enumerate_bruteforce describes, for an odd prime
+    # p <= _BRUTE_LIMIT; each (a, c) gives at most one.  The checks run at the
+    # first step of the generator, before any row is searched.
     _require_odd_prime(p)
     if p > _BRUTE_LIMIT:
         raise ValueError(f"brute-force enumeration is limited to p <= {_BRUTE_LIMIT}")
-    rows = {(1, p, 0, 0), (p, 1, 0, 0)}
     for a in range(2, isqrt(p) + 1):
         aa = a * a
         pa = p % a
@@ -57,8 +57,15 @@ def _bruteforce_rows(p: int) -> set[tuple[int, int, int, int]]:
                 continue
             d = pa * pow(c, -1, a) % a
             if d >= c and p - c * d >= aa:
-                b = (p - c * d) // a
-                rows.update(((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c)))
+                yield a, (p - c * d) // a, c, d
+
+
+def _bruteforce_rows(p: int) -> set[tuple[int, int, int, int]]:
+    # S_p as plain rows: the two c = 0 rows, seeded (a = 1 leaves no c in
+    # [1, a - 1]), and the four swap orders of each hit
+    rows = {(1, p, 0, 0), (p, 1, 0, 0)}
+    for a, b, c, d in _bruteforce_hits(p):
+        rows.update(((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c)))
     return rows
 
 
@@ -207,30 +214,49 @@ def irreducible_count(n: int) -> int:
     return total
 
 
-def irreducible_enumerate(n: int) -> list[IrreducibleMatrix]:
-    """All irreducible matrices of determinant n, scanning the off-diagonal and
-    splitting n + b*c into diagonal divisor pairs.
-
-    Transposing swaps b and c and keeps a matrix irreducible, so the scan runs
-    over m = max(b, c) and k = min(b, c) and emits both (b, c) = (m, k) and
-    (k, m).  Both of a, d must exceed m, so a*d = n + m*k > m*m: k starts at
-    the least value meeting that bound.  The scan over m ends at (n - 1)//2,
-    since a*d = n + m*k >= (m + 1)**2 with k <= m needs n >= 2m + 1.
-    """
+def _irreducible_rows(n: int) -> list[tuple[int, int, int, int]]:
+    # Every irreducible matrix of determinant n as a plain (a, b, c, d) row, in
+    # no particular order, by the congruence search that irreducible_enumerate
+    # describes
     if not 1 <= n <= _ENUM_LIMIT:
         raise ValueError(f"enumeration is limited to n in [1, {_ENUM_LIMIT}]")
-    out = []
+    rows = []
     for m in range((n - 1) // 2 + 1):
-        k_low = max(0, (m * m - n) // m + 1) if m else 0
-        for k in range(k_low, m + 1):
-            offs = ((m, k), (k, m)) if k != m else ((m, m),)
-            r = n + m * k
-            for a in range(m + 1, isqrt(r) + 1):
-                if r % a == 0:
-                    d = r // a
-                    for b, c in offs:
-                        out.append(IrreducibleMatrix(a, b, c, d, n))
-                        if a != d:
-                            out.append(IrreducibleMatrix(d, b, c, a, n))
-    out.sort()
-    return out
+        for a in range(m + 1, isqrt(n + m * m) + 1):
+            g = gcd(m, a)
+            if n % g:
+                continue
+            step = a // g
+            k0 = -(n // g) * pow(m // g, -1, step)
+            # least k >= max(0, (a*a - n)/m) with k = k0 (mod step), so that
+            # d = (n + m*k)/a >= a; a*a <= n whenever m = 0
+            low = (a * a - n + m - 1) // m if a * a > n else 0
+            for k in range(low + (k0 - low) % step, m + 1, step):
+                d = (n + m * k) // a
+                offs = ((m, k), (k, m)) if k != m else ((m, m),)
+                for b, c in offs:
+                    rows.append((a, b, c, d))
+                    if a != d:
+                        rows.append((d, b, c, a))
+    return rows
+
+
+def irreducible_enumerate(n: int) -> list[IrreducibleMatrix]:
+    """All irreducible matrices of determinant n, sorted, by a congruence
+    search over the off-diagonal.
+
+    Transposing swaps b and c and keeps a matrix irreducible, so the search
+    runs over m = max(b, c) and k = min(b, c) and emits both (b, c) = (m, k)
+    and (k, m); swapping the diagonal pair keeps it irreducible too, so it
+    looks only for a <= d and emits both (a, d) and (d, a).  Then
+    m < a <= d and a*d = n + m*k with k <= m, so a <= isqrt(n + m*m), and
+    the range of a is empty unless n >= 2m + 1.  For each such a, a divides
+    n + m*k exactly when m*k = -n (mod a).  With g = gcd(m, a) that has no
+    solution unless g divides n, and otherwise k = -(n/g) * (m/g)**-1
+    (mod a/g).  d >= a means m*k >= a*a - n, so k steps by a/g from the
+    least such value up to m.  At m = 0 that leaves g = a and k = 0: the
+    divisor pairs of n.  That is one gcd and at most one modular inverse per
+    pair (m, a), instead of trial division for every pair (m, k).
+    Independent of the divisor sum in irreducible_count.
+    """
+    return sorted(IrreducibleMatrix(*row, n) for row in _irreducible_rows(n))

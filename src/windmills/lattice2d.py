@@ -282,11 +282,11 @@ def interlaced(f1: IVec2, f2: IVec2, g1: IVec2, g2: IVec2) -> bool:
     for w in (f1, f2, g1, g2):
         if w.is_zero():
             raise ValueError("interlacedness needs nonzero vectors")
-    if f1.cross(f2) == 0 or g1.cross(g2) == 0:
-        return False
     d11, d12 = f1.cross(g1), f1.cross(g2)
     d21, d22 = f2.cross(g1), f2.cross(g2)
     if 0 in (d11, d12, d21, d22):
         return False
-    # det(f1, .) * det(f2, .) keeps one sign on each open arc cut out by the f-lines
+    # det(f1, .) * det(f2, .) keeps one sign on each open arc cut out by the
+    # f-lines.  A dependent pair f2 = k*f1 gives d21 = k*d11 and d22 = k*d12,
+    # so both sides agree for either sign of k; likewise for g2 = k*g1
     return ((d11 > 0) == (d21 > 0)) != ((d12 > 0) == (d22 > 0))

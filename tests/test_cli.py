@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -12,9 +13,9 @@ import jsonschema
 import pytest
 
 from goldens import GOLDEN_ORBITS
+from oracles import odd_primes
 import windmills
 from windmills import cli, decomp, lattice2d, numtheory, windmill
-from windmills.decomp import IrreducibleMatrix
 from windmills.numtheory import is_prime
 
 
@@ -29,6 +30,19 @@ def refuse_walk(monkeypatch):
         raise AssertionError("a refused input must not start the walk")
 
     monkeypatch.setattr(decomp, "_fast_solution_raw", walk)
+
+
+def drop_hit(monkeypatch):
+    # a brute force short of the hit (3, 3, 2, 2) of p = 13 in both bindings:
+    # check_count reads cli's, and check_oracle reads decomp's through
+    # _bruteforce_rows
+    real = decomp._bruteforce_hits
+
+    def short(p):
+        return (h for h in real(p) if h != (3, 3, 2, 2))
+
+    monkeypatch.setattr(cli, "_bruteforce_hits", short)
+    monkeypatch.setattr(decomp, "_bruteforce_hits", short)
 
 
 def load_schema(name):
@@ -293,8 +307,7 @@ class TestVerify:
     def test_json_bytes_are_pinned(self, capsys, monkeypatch, mode, code, failures):
         # the count sweep fails at p = 13 on a brute force short of one row
         if code:
-            real = cli._bruteforce_rows
-            monkeypatch.setattr(cli, "_bruteforce_rows", lambda p: real(p) - {(3, 3, 2, 2)})
+            drop_hit(monkeypatch)
         got, out, _ = run(
             ["verify", "--max-p", "60", "--mode", mode, "--format", "json", "--jobs", "1"], capsys
         )
@@ -328,7 +341,7 @@ class TestVerify:
         def no_pool(*args, **kwargs):
             raise AssertionError("verify without --jobs runs in one process")
 
-        monkeypatch.setattr(cli, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         for value in ("abc", "2"):
             monkeypatch.setenv("WINDMILL_JOBS", value)
             code, out, _ = run(
@@ -343,9 +356,9 @@ class TestVerify:
         assert out.startswith("verify mode=count max=2: 0 cases, all pass (")
 
     def test_irreducible_reports_duplicate_listing(self, monkeypatch):
-        real = cli.irreducible_enumerate(6)
+        real = cli._irreducible_rows(6)
         # right length and every matrix valid, but one repeated in place of another
-        monkeypatch.setattr(cli, "irreducible_enumerate", lambda n: real[:-1] + real[:1])
+        monkeypatch.setattr(cli, "_irreducible_rows", lambda n: real[:-1] + real[:1])
         message = cli.check_irreducible(6)
         assert message is not None and "duplicate" in message
 
@@ -358,8 +371,8 @@ class TestVerify:
                 "n=6: formula 9 != enumeration 8",
             ),
             (
-                "irreducible_enumerate",
-                lambda n: decomp.irreducible_enumerate(n)[:-1] + [IrreducibleMatrix(1, 1, 1, 1, 6)],
+                "_irreducible_rows",
+                lambda n: decomp._irreducible_rows(n)[:-1] + [(1, 1, 1, 1)],
                 "n=6: enumeration produced an invalid matrix",
             ),
         ],
@@ -374,7 +387,7 @@ class TestVerify:
             raise AssertionError("a single job must not start a pool")
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(cli, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         code, out, _ = run(
             ["verify", "--max-p", "30", "--mode", "count", "--jobs", "1000000",
              "--format", "json"],
@@ -428,9 +441,32 @@ class TestVerify:
         assert cli.check_count(10007) is None
         assert cli.check_oracle(10007) is None
 
+    def test_irreducible_builds_no_matrix_objects(self, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("a passing check_irreducible works on plain rows")
+
+        monkeypatch.setattr(decomp, "IrreducibleMatrix", no_matrix)
+        assert cli.check_irreducible(2000) is None
+
+    def test_count_by_orbit_sizes_equals_the_row_set(self):
+        # a passing check_count sums the hits' orbit sizes to (p+1)/2;
+        # 99989 = 1 and 99991 = 3 (mod 4): both residue classes at the top
+        for p in odd_primes(20000) + [99989, 99991]:
+            assert len(decomp._bruteforce_rows(p)) == (p + 1) // 2, p
+            assert cli.check_count(p) is None, p
+
+    def test_count_reports_a_hit_found_twice(self, monkeypatch):
+        real = decomp._bruteforce_hits
+
+        def twice(p):
+            yield from real(p)
+            yield 3, 3, 2, 2
+
+        monkeypatch.setattr(cli, "_bruteforce_hits", twice)
+        assert cli.check_count(13) == "p=13: brute-force count 8 != 7"
+
     def test_oracle_and_count_report_a_missing_row(self, monkeypatch):
-        real = cli._bruteforce_rows
-        monkeypatch.setattr(cli, "_bruteforce_rows", lambda p: real(p) - {(3, 3, 2, 2)})
+        drop_hit(monkeypatch)
         # both messages as the sweeps printed them over Solution sets
         assert cli.check_oracle(13) == (
             "p=13: fast != brute force, first differences "
@@ -604,7 +640,9 @@ def test_imports_only_the_standard_library():
     names = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout.split()
-    # __main__ is the -c script, and multiprocessing aliases it as __mp_main__
-    allowed = set(sys.stdlib_module_names) | {"windmills", "__main__", "__mp_main__"}
+    # __main__ is the -c script
+    allowed = set(sys.stdlib_module_names) | {"windmills", "__main__"}
     assert "windmills" in names
     assert [name for name in names if name not in allowed] == []
+    # only a verify sweep over more than one process imports the pool
+    assert "multiprocessing" not in names

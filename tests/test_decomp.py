@@ -86,7 +86,7 @@ def _refuse_walk(*args):
 
 def _full_square_irreducible(n: int) -> list[IrreducibleMatrix]:
     # the scan over every (b, c) in [0, (n-1)//2]**2, kept as the reference
-    # for the pruned scan over m = max(b, c)
+    # for the congruence search over m = max(b, c)
     out = []
     off_top = (n - 1) // 2
     for b in range(off_top + 1):
@@ -406,8 +406,12 @@ class TestIrreducible:
     def test_equals_full_square_scan(self):
         # m*m and m*(m-1) make (m*m - n) % m == 0, the edge of the k bound
         boundary = {m * m for m in range(1, 41)} | {m * (m - 1) for m in range(2, 41)}
-        for n in sorted(set(range(1, 301)) | boundary | {1968, 2000}):
+        for n in sorted(set(range(1, 1201)) | boundary | {1968, 2000}):
             assert irreducible_enumerate(n) == _full_square_irreducible(n), n
+
+    @pytest.mark.parametrize("n", [4000, 9973, 10000])
+    def test_equals_full_square_scan_large(self, n):
+        assert irreducible_enumerate(n) == _full_square_irreducible(n)
 
     def test_guards(self):
         with pytest.raises(ValueError):
