@@ -4,6 +4,7 @@ verification sweeps, irreducible-matrix counts, and SVG output."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,11 +35,10 @@ from .lattice2d import (
 from .numtheory import _require_odd_prime
 from .render import SvgDocument, lattice_svg, tiling_svg
 from .windmill import (
-    Color,
     Solution,
     _windmill_pair_raw,
     all_windmill_bases,
-    fast_solution_for_pair,
+    standard_black_basis,
 )
 
 _INPUT_BOUND = 2**62
@@ -48,6 +48,8 @@ _BASES_LIMIT = 2 * 10**5
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+# 128 + SIGPIPE: what a shell reports for a process killed by a closed pipe
+_EXIT_BROKEN_PIPE = 141
 
 
 def _bounded_int(text: str) -> int:
@@ -272,14 +274,14 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             f"{_fmt_vec(e)}, {_fmt_vec(f)}" for e, f in bases.bases()
         )
         print(f"windmill bases ({bases.count}): {listed}")
-        partner, sol = fast_solution_for_pair(s)
-        if bases.color is Color.BLACK:
+        sol = standard_black_basis(s)
+        if sol is None:
+            print(f"standard solution: none (black partner: mu = {s.p - s.mu})")
+        else:
             print(
                 f"standard solution: ({sol.a}, {sol.b}, {sol.c}, {sol.d})"
                 f"   [{s.p} = {sol.a}*{sol.b} + {sol.c}*{sol.d}]"
             )
-        else:
-            print(f"standard solution: none (black partner: mu = {partner.mu})")
     if args.svg:
         print(f"wrote {args.svg}")
     return EXIT_OK
@@ -330,7 +332,10 @@ def _cmd_tiling(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import: parsing leaves the parser as it
+    # was, and a build costs most of a short command's own time
     parser = argparse.ArgumentParser(
         prog="windmills",
         description="Decompositions p = a*b + c*d with min(a,b) > max(c,d), "
@@ -395,7 +400,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`windmills decompose p | head`); point
+        # stdout at devnull so that the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

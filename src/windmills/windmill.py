@@ -13,9 +13,9 @@ the Voronoi vectors of the reduced basis, and _standard_basis_raw mirrors a
 white pair onto a black one and slides it to the standard basis.  The
 per-slope kernel _fast_solution_raw takes a reduced basis, so the walk can
 hand one reduction to two slopes, and checks the row it slides to.  The object
-API (find_windmill_basis, all_windmill_bases, standard_black_basis,
-fast_solution_for_pair) sits on top of these layers; classify_cone is the
-public classifier over the whole plane and stays off the hot path.
+API sits on top: find_windmill_basis, all_windmill_bases, and the slope pair
+standard_black_basis and fast_solution_for_pair, which both take their row from
+_slope_row.  classify_cone classifies the whole plane, off the hot path.
 """
 
 from __future__ import annotations
@@ -234,15 +234,6 @@ def all_windmill_bases(b: LatticeBasis) -> WindmillBasisSet | None:
     return WindmillBasisSet(Color.WHITE, IVec2(-mx, my), IVec2(-fx, fy), count)
 
 
-def _require_generic_slope(s: SlopeClass) -> tuple[int, int]:
-    if s.is_infinity or s.mu in (0, 1, s.p - 1):
-        raise ValueError(
-            f"slope {'infinity' if s.is_infinity else s.mu} of p = {s.p} carries "
-            "no windmill basis; mu must lie in [2, p-2]"
-        )
-    return s.p, s.mu
-
-
 def _fast_solution_raw(
     p: int, ax: int, ay: int, bx: int, by: int
 ) -> tuple[bool, tuple[int, int, int, int]]:
@@ -255,6 +246,16 @@ def _fast_solution_raw(
     return black, row
 
 
+def _slope_row(s: SlopeClass) -> tuple[bool, tuple[int, int, int, int]]:
+    # The kernel's (black, row) on a slope lattice; 0, 1, p-1 and inf raise.
+    if s.is_infinity or s.mu in (0, 1, s.p - 1):
+        raise ValueError(
+            f"slope {'infinity' if s.is_infinity else s.mu} of p = {s.p} carries "
+            "no windmill basis; mu must lie in [2, p-2]"
+        )
+    return _fast_solution_raw(s.p, *_reduce_raw(s.p, 0, -s.mu, 1))
+
+
 def standard_black_basis(s: SlopeClass) -> Solution | None:
     """The unique solution encoded by the slope's black windmill bases, or None
     when the lattice carries only white bases.
@@ -262,14 +263,12 @@ def standard_black_basis(s: SlopeClass) -> Solution | None:
     The standard basis takes the lowest windmill-type vector of the E-NE cone
     and the rightmost one of the N-NW cone.
     """
-    p, mu = _require_generic_slope(s)
-    black, row = _fast_solution_raw(p, *_reduce_raw(p, 0, -mu, 1))
-    return Solution(*row, p) if black else None
+    black, row = _slope_row(s)
+    return Solution(*row, s.p) if black else None
 
 
 def fast_solution_for_pair(s: SlopeClass) -> tuple[SlopeClass, Solution]:
     """The solution carried by the slope pair {mu, p - mu}, with the member of
     the pair whose lattice is black.  O(log p) integer operations."""
-    p, mu = _require_generic_slope(s)
-    black, row = _fast_solution_raw(p, *_reduce_raw(p, 0, -mu, 1))
-    return SlopeClass(p, mu if black else p - mu), Solution(*row, p)
+    black, row = _slope_row(s)
+    return SlopeClass(s.p, s.mu if black else s.p - s.mu), Solution(*row, s.p)

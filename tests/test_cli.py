@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -234,6 +235,22 @@ class TestLattice:
             for mu in [*map(str, range(p)), "inf"]:
                 assert cli.main(["lattice", str(p), mu]) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mu", ["7", "6"])
+    def test_proves_p_prime_once(self, capsys, monkeypatch, mu):
+        # 7 is a black slope of 13 and 6 a white one; neither builds a
+        # partner slope, which would prove p prime again
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(numtheory, "is_prime", counted)
+        monkeypatch.setattr(lattice2d, "is_prime", counted)
+        code, out, _ = run(["lattice", "13", mu], capsys)
+        assert code == 0 and "standard solution" in out
+        assert calls == [13]
 
     def test_writes_svg(self, capsys, tmp_path):
         target = tmp_path / "lattice.svg"
@@ -614,6 +631,39 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    argv = ["lattice", "601", "7"]
+    first = run(argv, capsys)
+    builds = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(argv, capsys) == first
+    assert builds == []
+
+
+def test_broken_pipe_exits_141_without_a_traceback():
+    # the reader closes its end after the first bytes, as `| head -1` does;
+    # the listing is far larger than a pipe buffer, so the writer sees it
+    src = str(Path(windmills.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); from windmills.cli import entry; entry()"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "decompose", "99991"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(16).startswith(b"p = 99991")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_public_names_are_distinct_objects():

@@ -103,6 +103,28 @@ def _full_square_irreducible(n: int) -> list[IrreducibleMatrix]:
     return out
 
 
+def _windowed_full_square_irreducible(ns: list[int]) -> dict[int, list[IrreducibleMatrix]]:
+    # the sorted matrices of each n in the window ns (sorted): one scan of
+    # every (b, c) in [0, (hi-1)//2]**2 and of every a, d > max(b, c) with
+    # lo <= a*d - b*c <= hi, each matrix put in the bucket of its determinant;
+    # no congruence and no divisor sum, so it stays independent of the search
+    lo, hi = ns[0], ns[-1]
+    buckets = {n: [] for n in ns}
+    off_top = (hi - 1) // 2
+    for b in range(off_top + 1):
+        for c in range(off_top + 1):
+            m = b if b > c else c
+            bc = b * c
+            for a in range(m + 1, (hi + bc) // (m + 1) + 1):
+                for d in range(max(m + 1, -((bc + lo) // -a)), (hi + bc) // a + 1):
+                    bucket = buckets.get(a * d - bc)
+                    if bucket is not None:
+                        bucket.append(IrreducibleMatrix(a, b, c, d, a * d - bc))
+    for out in buckets.values():
+        out.sort()
+    return buckets
+
+
 class TestEnumerateBruteforce:
     def test_p3(self):
         assert {s.key for s in enumerate_bruteforce(3)} == {(3, 1, 0, 0), (1, 3, 0, 0)}
@@ -406,8 +428,13 @@ class TestIrreducible:
     def test_equals_full_square_scan(self):
         # m*m and m*(m-1) make (m*m - n) % m == 0, the edge of the k bound
         boundary = {m * m for m in range(1, 41)} | {m * (m - 1) for m in range(2, 41)}
-        for n in sorted(set(range(1, 1201)) | boundary | {1968, 2000}):
-            assert irreducible_enumerate(n) == _full_square_irreducible(n), n
+        ns = sorted(set(range(1, 1201)) | boundary | {1968, 2000})
+        # one scan per window of 200 n; a window bounds the buckets held at once
+        for i in range(0, len(ns), 200):
+            window = ns[i : i + 200]
+            listed = _windowed_full_square_irreducible(window)
+            for n in window:
+                assert irreducible_enumerate(n) == listed[n], n
 
     @pytest.mark.parametrize("n", [4000, 9973, 10000])
     def test_equals_full_square_scan_large(self, n):
