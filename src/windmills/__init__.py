@@ -31,8 +31,6 @@ from .lattice2d import (
 from .numtheory import (
     Residue,
     is_prime,
-    legendre,
-    pow_mod,
     smallest_nonresidue,
     sqrt_minus_one,
     wilson_sqrt_minus_one_oracle,
@@ -40,15 +38,12 @@ from .numtheory import (
 from .render import SvgDocument, lattice_svg, tiling_svg
 from .windmill import (
     Color,
-    Cone,
     Solution,
     WindmillBasisSet,
     all_windmill_bases,
-    classify_cone,
     fast_solution_for_pair,
     find_windmill_basis,
     standard_black_basis,
-    windmill_basis_color,
 )
 
 __version__ = "0.1.0"

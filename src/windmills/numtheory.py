@@ -55,24 +55,6 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"expected an odd prime, got {p}")
 
 
-def pow_mod(base: int, exp: int, modulus: int) -> Residue:
-    """base**exp mod modulus by square-and-multiply."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be at least 2, got {modulus}")
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return Residue(pow(base, exp, modulus), modulus)
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, 1}, by Euler's criterion."""
-    _require_odd_prime(p)
-    e = pow(a, (p - 1) // 2, p)
-    if e == 0:
-        return 0
-    return 1 if e == 1 else -1
-
-
 def smallest_nonresidue(p: int) -> Residue:
     """The least n >= 2 that is not a square modulo the odd prime p."""
     _require_odd_prime(p)

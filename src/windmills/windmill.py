@@ -15,7 +15,7 @@ per-slope kernel _fast_solution_raw takes a reduced basis, so the walk can
 hand one reduction to two slopes, and checks the row it slides to.  The object
 API sits on top: find_windmill_basis, all_windmill_bases, and the slope pair
 standard_black_basis and fast_solution_for_pair, which both take their row from
-_slope_row.  classify_cone classifies the whole plane, off the hot path.
+_slope_row.
 """
 
 from __future__ import annotations
@@ -32,31 +32,9 @@ from .lattice2d import (
 )
 
 
-class Cone(Enum):
-    """Open windmill cones in counterclockwise order, plus boundary and origin tags."""
-
-    ENE = "ENE"
-    NNE = "NNE"
-    NNW = "NNW"
-    WNW = "WNW"
-    WSW = "WSW"
-    SSW = "SSW"
-    SSE = "SSE"
-    ESE = "ESE"
-    BOUNDARY_X = "boundary-x"
-    BOUNDARY_Y = "boundary-y"
-    BOUNDARY_DIAG = "boundary-diag"
-    BOUNDARY_ANTIDIAG = "boundary-antidiag"
-    ORIGIN = "origin"
-
-
 class Color(Enum):
     BLACK = "black"
     WHITE = "white"
-
-
-BLACK_CONES = frozenset({Cone.ENE, Cone.NNW, Cone.WSW, Cone.SSE})
-WHITE_CONES = frozenset({Cone.NNE, Cone.WNW, Cone.SSW, Cone.ESE})
 
 
 class Solution(NamedTuple):
@@ -97,40 +75,6 @@ class WindmillBasisSet:
         return [(self.m, self.f + s * self.m) for s in range(self.count)]
 
 
-def classify_cone(w: IVec2) -> Cone:
-    """The open windmill cone containing w, or its boundary line, or the origin."""
-    x, y = w.x, w.y
-    if x == 0 and y == 0:
-        return Cone.ORIGIN
-    if y == 0:
-        return Cone.BOUNDARY_X
-    if x == 0:
-        return Cone.BOUNDARY_Y
-    if x == y:
-        return Cone.BOUNDARY_DIAG
-    if x == -y:
-        return Cone.BOUNDARY_ANTIDIAG
-    if y > 0:
-        if x > y:
-            return Cone.ENE
-        if x > 0:
-            return Cone.NNE
-        return Cone.NNW if -x < y else Cone.WNW
-    if x < y:
-        return Cone.WSW
-    return Cone.SSW if x < 0 else (Cone.SSE if x < -y else Cone.ESE)
-
-
-def windmill_basis_color(e: IVec2, f: IVec2) -> Color | None:
-    """The color of the windmill pair {e, f}, or None when it is not one."""
-    cones = {classify_cone(e), classify_cone(f)}
-    if cones == {Cone.ENE, Cone.NNW}:
-        return Color.BLACK
-    if cones == {Cone.NNE, Cone.WNW}:
-        return Color.WHITE
-    return None
-
-
 def _windmill_pair_raw(
     ax: int, ay: int, bx: int, by: int
 ) -> tuple[bool, tuple[int, int], tuple[int, int]] | None:
@@ -147,9 +91,9 @@ def _windmill_pair_raw(
         cand = ((ax, ay), (bx, by))
     ene = nne = nnw = wnw = None
     for x, y in cand:
-        if y < 0 or (y == 0 and x < 0):
+        if y < 0:
             x, y = -x, -y
-        if y <= 0:
+        elif y == 0:
             continue
         if x > y:
             if ene is None:
@@ -242,7 +186,9 @@ def _fast_solution_raw(
     # mirrored slope p - mu.
     black, row = _standard_basis_raw(ax, ay, bx, by)
     a, b, c, d = row
-    assert a * b + c * d == p and min(a, b) > max(c, d) >= 0, (p, row)
+    # min(a, b) > max(c, d) >= 0 spelled out: calls to min and max cost more than comparisons
+    assert a * b + c * d == p and a > c and a > d and b > c and b > d, (p, row)
+    assert c >= 0 and d >= 0, (p, row)
     return black, row
 
 

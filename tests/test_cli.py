@@ -6,12 +6,14 @@ import multiprocessing
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goldens import GOLDEN_ORBITS
 from oracles import odd_primes
@@ -696,3 +698,116 @@ def test_imports_only_the_standard_library():
     assert [name for name in names if name not in allowed] == []
     # only a verify sweep over more than one process imports the pool
     assert "multiprocessing" not in names
+
+
+# Generated argv for the CLI contract.  Every number stays below the sizes
+# that make a command slow, or lies far above the caps, where it is refused
+# at once: the walk limit, the lattice listing cap, the verify caps.
+_NUMBER = st.one_of(
+    st.integers(min_value=-3, max_value=1999).map(str),
+    st.sampled_from(
+        [
+            "1000000000039",  # prime, 3 (mod 4)
+            "1000000000061",  # prime, 1 (mod 4)
+            "2305843009213693951",  # 2**61 - 1, prime
+            "4611686018427387903",  # 2**62 - 1, the largest accepted magnitude
+            "4611686018427387904",  # 2**62, refused by the parser
+            "-4611686018427387904",
+            "1" + "0" * 30,
+        ]
+    ),
+    st.sampled_from(["inf", "infinity", "x", "", "1.5", "0x10", "+7", "-0"]),
+)
+_PRIME = st.one_of(st.sampled_from(["3", "5", "7", "13", "29", "101", "997", "1997"]), _NUMBER)
+_SLOPE = st.one_of(st.integers(min_value=0, max_value=12).map(str), st.just("inf"), _NUMBER)
+# above 200 only where every mode refuses the bound
+_MAX_P = st.one_of(
+    st.integers(min_value=-3, max_value=200).map(str),
+    st.sampled_from(["100001", "2305843009213693951", "4611686018427387904", "inf", "x"]),
+)
+_EXTENT = st.sampled_from(["-1", "0", "1", "3", "8", "50", "51", "4611686018427387904", "x"])
+_FORMAT = st.sampled_from(["text", "json", "xml"])
+_SOLUTIONS = st.sampled_from(
+    [("37", "7", "5", "2", "1"), ("13", "6", "2", "1", "1"), ("5", "2", "2", "1", "1")]
+)
+# output paths, bound to a temporary directory by the test
+_PICTURE, _UNWRITABLE = "<picture>", "<missing>/picture.svg"
+# verify's own timings, the only output that may differ between identical calls
+_TIMINGS = re.compile(r"\(\d+\.\d+s\)$|\"timing_ms\": [-+.\deE]+", re.M)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(
+        st.sampled_from(["decompose", "two-squares", "lattice", "irreducible", "verify", "tiling"])
+    )
+    path = draw(st.sampled_from([_PICTURE, _UNWRITABLE]))
+    required = []
+    if command == "decompose":
+        argv = [command, draw(_PRIME)]
+        options = [["--orbits"], ["--format", draw(_FORMAT)]]
+    elif command == "two-squares":
+        argv = [command, draw(_PRIME)]
+        options = [["--method", draw(st.sampled_from(["grace", "fixed-point", "both", "fast"]))]]
+    elif command == "lattice":
+        argv = [command, draw(_PRIME), draw(_SLOPE)]
+        options = [["--svg", path], ["--extent", draw(_EXTENT)]]
+    elif command == "irreducible":
+        argv = [command, draw(_NUMBER)]
+        options = [["--list"]]
+    elif command == "verify":
+        argv = [command]
+        mode = draw(st.sampled_from(["count", "oracle", "color", "irreducible", "fast"]))
+        # no --jobs above 1, which would start a process pool on every call
+        jobs = draw(st.sampled_from(["-1", "0", "1", "x"]))
+        required = [["--max-p", draw(_MAX_P)], ["--mode", mode]]
+        options = [["--jobs", jobs], ["--format", draw(_FORMAT)]]
+    else:
+        argv = [command, *draw(st.one_of(_SOLUTIONS, st.tuples(*[_NUMBER] * 5)))]
+        required = [["--out", path]]
+        options = [["--extent", draw(_EXTENT)]]
+    # a required option goes missing now and then, an optional one half the time
+    kept = [o for o in required if draw(st.integers(0, 4))]
+    kept += [o for o in options if draw(st.booleans())]
+    for option in draw(st.permutations(kept)):
+        argv += option
+    return argv
+
+
+def _call(argv, picture):
+    # cli.main in process; anything but SystemExit escapes and fails the test
+    picture.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = picture.read_bytes() if picture.exists() else None
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_argv())
+# one well-formed call per command, whatever the sampler draws
+@example(argv=["decompose", "29", "--orbits", "--format", "json"])
+@example(argv=["two-squares", "13", "--method", "both"])
+@example(argv=["lattice", "13", "7", "--svg", _PICTURE, "--extent", "3"])
+@example(argv=["irreducible", "6", "--list"])
+@example(argv=["verify", "--max-p", "60", "--mode", "color", "--format", "json"])
+@example(argv=["tiling", "37", "7", "5", "2", "1", "--out", _PICTURE])
+def test_generated_argv_keeps_the_cli_contract(argv, tmp_path_factory):
+    picture = tmp_path_factory.getbasetemp() / "contract.svg"
+    paths = {_PICTURE: str(picture), _UNWRITABLE: str(picture.parent / "missing" / picture.name)}
+    argv = [paths.get(arg, arg) for arg in argv]
+    code, out, err, written = _call(argv, picture)
+    # README: 1 only for a violation found by verify or two-squares
+    assert code in ((0, 1, 2) if argv[0] in ("verify", "two-squares") else (0, 2))
+    if code == 2:
+        # a refused command says why and prints and writes nothing
+        assert err.startswith(("error: ", "usage: ")), err
+        assert out == "" and written is None
+    # identical invocations give identical bytes, timings aside
+    again = _call(argv, picture)
+    assert again[0] == code and again[2:] == (err, written)
+    assert _TIMINGS.sub("", again[1]) == _TIMINGS.sub("", out)

@@ -1,15 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oracles import odd_primes, sieve_primes, trial_is_prime
 from windmills.numtheory import (
     Residue,
     is_prime,
-    legendre,
-    pow_mod,
     smallest_nonresidue,
     sqrt_minus_one,
     wilson_sqrt_minus_one_oracle,
@@ -59,66 +55,6 @@ class TestIsPrime:
             is_prime(2**64)
         with pytest.raises(ValueError):
             is_prime(-1)
-
-
-class TestPowMod:
-    def test_direct(self):
-        assert pow_mod(2, 3, 13) == Residue(8, 13)
-
-    def test_zero_exponent(self):
-        for x in (-5, 0, 1, 7, 10**9):
-            assert pow_mod(x, 0, 11).value == 1
-
-    def test_fermat_spot(self):
-        assert pow_mod(5, 12, 13).value == 1
-
-    @given(
-        p=st.sampled_from(odd_primes(500)),
-        g=st.integers(min_value=1, max_value=10**9),
-    )
-    def test_fermat_little_theorem(self, p, g):
-        if g % p == 0:
-            g += 1
-        assert pow_mod(g, p - 1, p).value == 1
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            pow_mod(2, 3, 1)
-        with pytest.raises(ValueError):
-            pow_mod(2, -1, 13)
-
-
-class TestLegendre:
-    def test_squares_mod_13(self):
-        squares = {x * x % 13 for x in range(1, 13)}
-        assert squares == {1, 3, 4, 9, 10, 12}
-        for a in range(1, 13):
-            assert legendre(a, 13) == (1 if a in squares else -1)
-
-    def test_nonresidue_example(self):
-        assert legendre(2, 13) == -1
-
-    def test_divisibility(self):
-        for p in (3, 13, 29):
-            assert legendre(0, p) == 0
-            assert legendre(p * 7, p) == 0
-
-    def test_square(self):
-        assert legendre(4, 13) == 1
-
-    @given(
-        p=st.sampled_from(odd_primes(300)),
-        a=st.integers(min_value=-(10**6), max_value=10**6),
-        b=st.integers(min_value=-(10**6), max_value=10**6),
-    )
-    def test_multiplicative(self, p, a, b):
-        assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
-
-    def test_rejects_non_prime(self):
-        with pytest.raises(ValueError):
-            legendre(2, 15)
-        with pytest.raises(ValueError):
-            legendre(2, 2)
 
 
 class TestSmallestNonresidue:

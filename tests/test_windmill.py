@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import basis_points, bf_windmill_bases, odd_primes
@@ -15,18 +15,13 @@ from windmills.lattice2d import (
     minimal_vector,
 )
 from windmills.windmill import (
-    BLACK_CONES,
-    WHITE_CONES,
     Color,
-    Cone,
     Solution,
     _fast_solution_raw,
     all_windmill_bases,
-    classify_cone,
     fast_solution_for_pair,
     find_windmill_basis,
     standard_black_basis,
-    windmill_basis_color,
 )
 
 V = IVec2
@@ -44,87 +39,15 @@ def pair_key(e: IVec2, f: IVec2) -> frozenset:
     return frozenset({(e.x, e.y), (f.x, f.y)})
 
 
-class TestClassifyCone:
-    @pytest.mark.parametrize(
-        "w,expected",
-        [
-            (V(6, 1), Cone.ENE),
-            (V(-1, 2), Cone.NNW),
-            (V(1, 3), Cone.NNE),
-            (V(-5, 3), Cone.WNW),
-            (V(-3, -1), Cone.WSW),
-            (V(-1, -4), Cone.SSW),
-            (V(1, -2), Cone.SSE),
-            (V(4, -1), Cone.ESE),
-            (V(3, 3), Cone.BOUNDARY_DIAG),
-            (V(-2, 2), Cone.BOUNDARY_ANTIDIAG),
-            (V(5, 0), Cone.BOUNDARY_X),
-            (V(0, -7), Cone.BOUNDARY_Y),
-            (V(0, 0), Cone.ORIGIN),
-        ],
-    )
-    def test_table(self, w, expected):
-        assert classify_cone(w) == expected
-
-    def test_color_assignment(self):
-        assert BLACK_CONES == {Cone.ENE, Cone.NNW, Cone.WSW, Cone.SSE}
-        assert WHITE_CONES == {Cone.NNE, Cone.WNW, Cone.SSW, Cone.ESE}
-
-    @given(
-        x=st.integers(min_value=-100, max_value=100),
-        y=st.integers(min_value=-100, max_value=100),
-    )
-    def test_partition_by_sign_pattern(self, x, y):
-        # independent re-derivation from the four defining sign conditions
-        tag = classify_cone(V(x, y))
-        if x * y * (x - y) * (x + y) == 0:
-            assert tag in {
-                Cone.ORIGIN,
-                Cone.BOUNDARY_X,
-                Cone.BOUNDARY_Y,
-                Cone.BOUNDARY_DIAG,
-                Cone.BOUNDARY_ANTIDIAG,
-            }
-            return
-        pattern = (x > 0, y > 0, x - y > 0, x + y > 0)
-        expected = {
-            (True, True, True, True): Cone.ENE,
-            (True, True, False, True): Cone.NNE,
-            (False, True, False, True): Cone.NNW,
-            (False, True, False, False): Cone.WNW,
-            (False, False, False, False): Cone.WSW,
-            (False, False, True, False): Cone.SSW,
-            (True, False, True, False): Cone.SSE,
-            (True, False, True, True): Cone.ESE,
-        }[pattern]
-        assert tag == expected
-
-    def test_opposite_cones_pair_up(self):
-        for w in (V(6, 1), V(-1, 2), V(2, 3), V(-7, 2)):
-            a, b = classify_cone(w), classify_cone(-w)
-            assert (a in BLACK_CONES) == (b in BLACK_CONES)
-            assert a != b
-
-
-class TestWindmillBasisColor:
-    def test_black_running_example(self):
-        assert windmill_basis_color(V(6, 1), V(-1, 2)) is Color.BLACK
-        assert windmill_basis_color(V(-1, 2), V(5, 3)) is Color.BLACK
-
-    def test_white_pair(self):
-        assert windmill_basis_color(V(1, 2), V(-5, 3)) is Color.WHITE
-
-    def test_mixed_colors_rejected(self):
-        assert windmill_basis_color(V(4, 5), V(-1, 2)) is None
-
-    def test_same_cone_rejected(self):
-        assert windmill_basis_color(V(5, 3), V(6, 1)) is None
-
-    def test_lower_half_plane_rejected(self):
-        assert windmill_basis_color(V(-1, 2), V(-6, -1)) is None
-
-    def test_boundary_rejected(self):
-        assert windmill_basis_color(V(1, 0), V(-1, 2)) is None
+def pair_color(e: IVec2, f: IVec2) -> Color | None:
+    # the pair's color from the cones' sign conditions, as in
+    # bf_general_windmill_bases: black for E-NE with N-NW, white for N-NE with W-NW
+    for u, v in ((e, f), (f, e)):
+        if 0 < u.y < u.x and 0 < -v.x < v.y:
+            return Color.BLACK
+        if 0 < u.x < u.y and 0 < v.y < -v.x:
+            return Color.WHITE
+    return None
 
 
 class TestFindWindmillBasis:
@@ -134,7 +57,7 @@ class TestFindWindmillBasis:
         assert found is not None
         b, color = found
         assert color is Color.BLACK
-        assert windmill_basis_color(b.u, b.v) is Color.BLACK
+        assert pair_color(b.u, b.v) is Color.BLACK
         assert is_basis_of_slope(b, s)
         assert pair_key(b.u, b.v) in {
             pair_key(V(-1, 2), V(5, 3)),
@@ -152,7 +75,7 @@ class TestFindWindmillBasis:
                 found = find_windmill_basis(lambda_mu(slope(p, mu)))
                 assert found is not None
                 b, color = found
-                assert windmill_basis_color(b.u, b.v) is color
+                assert pair_color(b.u, b.v) is color
                 assert is_basis_of_slope(b, slope(p, mu))
 
 
@@ -227,6 +150,18 @@ class TestGeneralLattices:
             lambda c: c[0] * c[3] != c[1] * c[2]
         )
     )
+    # a reduced basis with a vector on each boundary line, which the cone pick
+    # must skip: y = 0 (both signs of x), x = 0, y = x and y = -x
+    @example(coords=(2, 0, 1, 2))
+    @example(coords=(-2, 0, 1, 2))
+    @example(coords=(0, 2, 3, 1))
+    @example(coords=(2, 2, 3, -1))
+    @example(coords=(-2, 2, 3, 1))
+    # orthogonal reduced pairs, which have no diagonal Voronoi vector: black,
+    # white, and on the axes with no windmill basis
+    @example(coords=(2, 1, -1, 2))
+    @example(coords=(1, 2, -2, 1))
+    @example(coords=(3, 0, 0, 2))
     def test_search_equals_bruteforce(self, coords):
         ux, uy, vx, vy = coords
         b = LatticeBasis(V(ux, uy), V(vx, vy))
@@ -253,7 +188,7 @@ class TestStandardBlackBasis:
         ws = all_windmill_bases(lambda_mu(slope(13, 7)))
         standard = 0
         for e, f in ws.bases():
-            u, v = (e, f) if classify_cone(e) is Cone.ENE else (f, e)
+            u, v = (e, f) if e.x > 0 else (f, e)
             a, c = u.x, u.y
             d, b = -v.x, v.y
             if min(a, b) > max(c, d):
@@ -295,7 +230,7 @@ class TestStandardBlackBasis:
                 # no other listed basis is standard
                 standard_pairs = 0
                 for e, f in ws.bases():
-                    uu, vv = (e, f) if classify_cone(e) is Cone.ENE else (f, e)
+                    uu, vv = (e, f) if e.x > 0 else (f, e)
                     if min(uu.x, vv.y) > max(uu.y, -vv.x):
                         standard_pairs += 1
                 assert standard_pairs == 1
