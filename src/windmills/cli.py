@@ -17,7 +17,7 @@ from .decomp import (
     _bruteforce_rows,
     _checked_rows,
     _irreducible_rows,
-    _orbit_table,
+    _sorted_orbits,
     _walk_rows,
     irreducible_count,
     irreducible_enumerate,
@@ -33,7 +33,7 @@ from .lattice2d import (
     voronoi_cell,
 )
 from .numtheory import _require_odd_prime
-from .render import SvgDocument, lattice_svg, tiling_svg
+from .render import SvgDocument, _check_extent, lattice_svg, tiling_svg
 from .windmill import (
     Solution,
     _windmill_pair_raw,
@@ -194,7 +194,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     p = args.p
     found = _checked_rows(p)
     rows = sorted(found, reverse=True)
-    orbits = sorted(_orbit_table(found).items(), reverse=True) if args.orbits else None
+    orbits = _sorted_orbits(rows, found) if args.orbits else None
     if args.format == "json":
         payload: dict = {"p": p, "count": len(rows), "solutions": [list(row) for row in rows]}
         if orbits is not None:
@@ -246,6 +246,9 @@ def _write_svg(doc: SvgDocument, path: str) -> None:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
+    # the extent is checked with or without --svg, so that an option out of
+    # range never goes unnoticed
+    _check_extent(args.extent)
     s = SlopeClass(args.p, args.mu)
     basis = lambda_mu(s)
     # check the listing cap, then render and write, before printing, so that

@@ -116,7 +116,13 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
         inv[mu] = partner
         if partner < mu:
             continue
-        ax, ay, bx, by = _reduce_raw(p, 0, -mu, 1)
+        # (-mu, 1) and (r, q) lie in the lattice x + mu*y = 0 (mod p), since
+        # r + mu*q = p, and their determinant is -p, so they are a basis of
+        # it.  The first Lagrange round on (p, 0), (-mu, 1) would take (p, 0)
+        # to (r, q) or next to it, so the reduction starts a round later.  Its
+        # result may differ from that of (p, 0), (-mu, 1) in sign or order,
+        # but the standard row depends on the lattice alone.
+        ax, ay, bx, by = _reduce_raw(-mu, 1, r, q)
         yield _fast_solution_raw(p, ax, ay, bx, by)[1]
         if partner != mu:
             # the swapped basis spans the lattice of slope exactly 1/mu
@@ -137,36 +143,46 @@ def enumerate_fast(p: int) -> set[Solution]:
     plus the two degenerate rows (p, 1, 0, 0) and (1, p, 0, 0).
 
     The walk Lagrange-reduces one lattice per class {+-mu, +-1/mu} and hands
-    the partner pair the swapped basis.  Limited to p <= _WALK_LIMIT.
+    the partner pair the swapped basis.  Each reduction starts from the basis
+    (-mu, 1), (r, q) with p = q*mu + r, which the walk's divmod for its table
+    of inverses already gives; that skips the first round that (p, 0),
+    (-mu, 1) would take.  Limited to p <= _WALK_LIMIT.
     """
     return {Solution(a, b, c, d, p) for a, b, c, d in _checked_rows(p)}
 
 
-def _orbit_table(rows: set[tuple[int, int, int, int]]) -> dict[tuple[int, int, int, int], int]:
-    # Decreasing representative -> size of each swap orbit the rows meet, in one
-    # pass.  An orbit holds at most `size` rows, so the sizes sum to len(rows)
-    # exactly when the rows are closed under the swaps.
-    table = {}
-    for a, b, c, d in rows:
-        if a < b:
-            a, b = b, a
-        if c < d:
-            c, d = d, c
-        table[a, b, c, d] = (1 if a == b else 2) * (1 if c == d else 2)
-    if sum(table.values()) != len(rows):
+def _sorted_orbits(
+    rows: list[tuple[int, int, int, int]], found: set[tuple[int, int, int, int]]
+) -> list[tuple[tuple[int, int, int, int], int]]:
+    # (decreasing representative, size) of each swap orbit of the rows, given
+    # sorted descending and as their set `found`; the representatives
+    # (a >= b, c >= d) are among the rows, so they come out in the rows'
+    # order.  A representative counts only when its other swap members are in
+    # the set, and the counted sizes sum to len(rows) exactly when every row's
+    # orbit is counted, that is, when the rows are closed under the swaps.
+    # Without the lookups the sum would not show it: a lost representative
+    # can balance a lost member of another orbit.
+    table = []
+    for row in rows:
+        a, b, c, d = row
+        if a < b or c < d:
+            continue
+        if (b, a, c, d) in found and (a, b, d, c) in found and (b, a, d, c) in found:
+            table.append((row, (1 if a == b else 2) * (1 if c == d else 2)))
+    if sum(size for _, size in table) != len(rows):
         swaps = {o for a, b, c, d in rows for o in ((b, a, c, d), (a, b, d, c), (b, a, d, c))}
-        raise ValueError(f"input not closed under the swap action: missing {sorted(swaps - rows)}")
+        raise ValueError(f"input not closed under the swap action: missing {sorted(swaps - found)}")
     return table
 
 
 def vierergruppe_orbits(sols: set[Solution]) -> list[OrbitEntry]:
     """Orbits of the Klein four-group swapping (a, b) and (c, d) independently,
     sorted by descending representative."""
-    entries = [
-        OrbitEntry(Solution(*rep, p), size)
-        for p in {sol.p for sol in sols}
-        for rep, size in _orbit_table({sol.key for sol in sols if sol.p == p}).items()
-    ]
+    entries = []
+    for p in {sol.p for sol in sols}:
+        found = {sol.key for sol in sols if sol.p == p}
+        table = _sorted_orbits(sorted(found, reverse=True), found)
+        entries += (OrbitEntry(Solution(*rep, p), size) for rep, size in table)
     entries.sort(key=lambda e: e.rep.key, reverse=True)
     return entries
 

@@ -52,6 +52,11 @@ def _fmt(v: float | Fraction) -> str:
     return f"{float(v):.2f}"
 
 
+def _check_extent(extent: int) -> None:
+    if not 1 <= extent <= _MAX_EXTENT:
+        raise ValueError(f"extent must lie in [1, {_MAX_EXTENT}]")
+
+
 def tiling_svg(sol: Solution, extent: int) -> SvgDocument:
     """Tiling of the plane by translates of the two-rectangle fundamental domain.
 
@@ -60,8 +65,7 @@ def tiling_svg(sol: Solution, extent: int) -> SvgDocument:
     and (-d, b) interlock without overlap.  Degenerate solutions with c*d = 0
     fall back to the single a x b brick.  extent counts tiles per direction.
     """
-    if not 1 <= extent <= _MAX_EXTENT:
-        raise ValueError(f"extent must lie in [1, {_MAX_EXTENT}]")
+    _check_extent(extent)
     if not sol.is_valid():
         raise ValueError(f"{sol} is not a valid solution")
     a, b, c, d = sol.a, sol.b, sol.c, sol.d
@@ -107,8 +111,7 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
     basis when the slope carries one."""
     if s.p > _MAX_LATTICE_P:
         raise ValueError(f"lattice pictures are limited to p <= {_MAX_LATTICE_P}")
-    if not 1 <= extent <= _MAX_EXTENT:
-        raise ValueError(f"extent must lie in [1, {_MAX_EXTENT}]")
+    _check_extent(extent)
     e = extent + 1  # canvas half-width in lattice units, one unit of margin
     size = 2 * e * SCALE
 

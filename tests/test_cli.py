@@ -116,12 +116,25 @@ class TestDecompose:
                 ["decompose", "10009", "--orbits", "--format", "json"],
                 "c526c11c11dc3e880fe8380f97fe50a902acd0bbcb4cd9d779cdf08095d0fae3",
             ),
+            (
+                ["decompose", "99991", "--orbits"],
+                "64ee782423c68a431bbe7dacd2bb72262abac9ea6776f3cf78e681cf7ef5d4e9",
+            ),
         ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_orbits_reject_a_set_not_closed_under_the_swaps(self, capsys, monkeypatch):
+        # S_13 short of (13, 1, 0, 0) and (2, 6, 1, 1): the sizes of the five
+        # rows' representatives sum to 5, yet two orbits are incomplete
+        short = decomp._checked_rows(13) - {(13, 1, 0, 0), (2, 6, 1, 1)}
+        monkeypatch.setattr(cli, "_checked_rows", lambda p: set(short))
+        code, out, err = run(["decompose", "13", "--orbits"], capsys)
+        assert code == 2 and out == ""
+        assert "not closed under the swap action: missing [(2, 6, 1, 1), (13, 1, 0, 0)]" in err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_builds_no_solution_objects(self, capsys, monkeypatch, fmt):
@@ -225,6 +238,7 @@ class TestLattice:
     @pytest.mark.parametrize(
         "p,digest",
         [
+            (13, "03489316e0f117c22acf270488249e1ab44712d65cc5cffa8094724b2700f185"),
             (101, "006361b9344abb845fa6d037e5c3df5f488e277f948ccb2cf11ac7a6bddd5fba"),
             (103, "4b575db74a52c9bc2335614dbf5d39e0adf867a5c8ad18898ca94854ddbf729e"),
         ],
@@ -259,6 +273,12 @@ class TestLattice:
         code, out, _ = run(["lattice", "13", "7", "--svg", str(target)], capsys)
         assert code == 0
         assert target.exists() and target.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("extent", ["-5", "0", "51"])
+    def test_rejects_extent_out_of_range_without_svg(self, capsys, extent):
+        code, out, err = run(["lattice", "13", "7", "--extent", extent], capsys)
+        assert code == 2 and out == ""
+        assert "extent must lie in [1, 50]" in err
 
     def test_rejects_svg_extent_above_cap(self, capsys, tmp_path):
         target = tmp_path / "lattice.svg"

@@ -237,6 +237,26 @@ class TestWalkRows:
         # when p = 1 (mod 4): 25 classes at both 101 and 103
         assert calls == {"kernel": (p - 3) // 2, "reduce": 25}
 
+    def test_seeded_start_gives_the_same_rows(self):
+        # the walk reduces (-mu, 1), (r, q) with p = q*mu + r; the kernel must
+        # give what it gives on the reduced (p, 0), (-mu, 1), for the class
+        # representative mu and for the swapped basis of its partner
+        for p in odd_primes(2000):
+            half = (p - 1) // 2
+            for mu in range(2, half + 1):
+                partner = pow(mu, -1, p)
+                if min(partner, p - partner) < mu:
+                    continue
+                q, r = divmod(p, mu)
+                ax, ay, bx, by = lattice2d._reduce_raw(-mu, 1, r, q)
+                cx, cy, dx, dy = lattice2d._reduce_raw(p, 0, -mu, 1)
+                assert _fast_solution_raw(p, ax, ay, bx, by) == _fast_solution_raw(
+                    p, cx, cy, dx, dy
+                ), (p, mu)
+                assert _fast_solution_raw(p, ay, ax, by, bx) == _fast_solution_raw(
+                    p, cy, cx, dy, dx
+                ), (p, mu)
+
     def test_count_check_names_the_prime(self, monkeypatch):
         real = decomp._walk_rows
 
@@ -314,15 +334,20 @@ class TestVierergruppeOrbits:
     @pytest.mark.parametrize(
         "dropped",
         [
-            (2, 14, 1, 1),  # not a representative: its orbit's one is present
-            (14, 2, 1, 1),  # the representative: only its three swaps are present
+            [(2, 14, 1, 1)],  # not a representative: its orbit's one is present
+            [(14, 2, 1, 1)],  # the representative: only its three swaps are present
+            # the representatives left in S_13, (6, 2, 1, 1), (4, 3, 1, 1) and
+            # (3, 3, 2, 2), have sizes that sum to the 5 rows left
+            [(2, 6, 1, 1), (13, 1, 0, 0)],
         ],
     )
     def test_names_the_missing_member(self, dropped):
-        sols = enumerate_fast(29) - {Solution(*dropped, 29)}
+        a, b, c, d = dropped[0]
+        p = a * b + c * d
+        sols = enumerate_fast(p) - {Solution(*row, p) for row in dropped}
         with pytest.raises(ValueError, match="not closed") as exc:
             vierergruppe_orbits(sols)
-        assert str(dropped) in str(exc.value)
+        assert str(exc.value).endswith(f"missing {dropped}")
         with pytest.raises(ValueError, match="not closed"):
             _four_solution_orbits(sols)
 
