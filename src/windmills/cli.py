@@ -27,7 +27,7 @@ from .decomp import (
 from .lattice2d import (
     IVec2,
     SlopeClass,
-    _reduce_raw,
+    _reduce_slope_raw,
     lambda_mu,
     minimal_vector,
     voronoi_cell,
@@ -120,7 +120,7 @@ def check_color(p: int) -> str | None:
     _require_odd_prime(p)
     black: dict[int, bool] = {}
     for mu in range(p):
-        pair = _windmill_pair_raw(*_reduce_raw(p, 0, -mu, 1))
+        pair = _windmill_pair_raw(*_reduce_slope_raw(p, mu))
         if mu in (0, 1, p - 1):
             if pair is not None:
                 return f"p={p}, mu={mu}: unexpected windmill basis"
@@ -128,7 +128,7 @@ def check_color(p: int) -> str | None:
             return f"p={p}, mu={mu}: missing windmill basis"
         else:
             black[mu] = pair[0]
-    if _windmill_pair_raw(*_reduce_raw(1, 0, 0, p)) is not None:
+    if _windmill_pair_raw(*_reduce_slope_raw(p, None)) is not None:
         return f"p={p}, mu=infinity: unexpected windmill basis"
     for mu, is_black in black.items():
         if black[p - mu] == is_black:

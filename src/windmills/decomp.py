@@ -6,7 +6,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .lattice2d import _reduce_raw
+from .lattice2d import _reduce_slope_raw
 from .numtheory import _require_odd_prime, sqrt_minus_one
 from .windmill import Solution, _fast_solution_raw
 
@@ -116,13 +116,7 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
         inv[mu] = partner
         if partner < mu:
             continue
-        # (-mu, 1) and (r, q) lie in the lattice x + mu*y = 0 (mod p), since
-        # r + mu*q = p, and their determinant is -p, so they are a basis of
-        # it.  The first Lagrange round on (p, 0), (-mu, 1) would take (p, 0)
-        # to (r, q) or next to it, so the reduction starts a round later.  Its
-        # result may differ from that of (p, 0), (-mu, 1) in sign or order,
-        # but the standard row depends on the lattice alone.
-        ax, ay, bx, by = _reduce_raw(-mu, 1, r, q)
+        ax, ay, bx, by = _reduce_slope_raw(p, mu)
         yield _fast_solution_raw(p, ax, ay, bx, by)[1]
         if partner != mu:
             # the swapped basis spans the lattice of slope exactly 1/mu
@@ -143,10 +137,10 @@ def enumerate_fast(p: int) -> set[Solution]:
     plus the two degenerate rows (p, 1, 0, 0) and (1, p, 0, 0).
 
     The walk Lagrange-reduces one lattice per class {+-mu, +-1/mu} and hands
-    the partner pair the swapped basis.  Each reduction starts from the basis
-    (-mu, 1), (r, q) with p = q*mu + r, which the walk's divmod for its table
-    of inverses already gives; that skips the first round that (p, 0),
-    (-mu, 1) would take.  Limited to p <= _WALK_LIMIT.
+    the partner pair the swapped basis.  The reductions are lattice2d's
+    seeded slope reductions: each starts from the basis (-mu, 1), (r, q) with
+    p = q*mu + r, which skips the first round that (p, 0), (-mu, 1) would
+    take.  Limited to p <= _WALK_LIMIT.
     """
     return {Solution(a, b, c, d, p) for a, b, c, d in _checked_rows(p)}
 
@@ -211,7 +205,7 @@ def two_squares_grace(p: int) -> tuple[int, int]:
     if p >= _GRACE_LIMIT:
         raise ValueError("p must stay below 2**62")
     i = sqrt_minus_one(p).value
-    rx, ry, _, _ = _reduce_raw(p, 0, -i, 1)
+    rx, ry, _, _ = _reduce_slope_raw(p, i)
     a, b = sorted((abs(rx), abs(ry)), reverse=True)
     assert a * a + b * b == p
     return a, b

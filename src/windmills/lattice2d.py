@@ -150,6 +150,23 @@ def _reduce_raw(ax: int, ay: int, bx: int, by: int) -> tuple[int, int, int, int]
         na, nb = nb, na
 
 
+def _reduce_slope_raw(p: int, mu: int | None) -> tuple[int, int, int, int]:
+    # A Lagrange-reduced basis of the slope lattice, for mu in [0, p) or None
+    # (infinity): every plain-int reduction of a slope lattice starts here.
+    # For finite mu, p = q*mu + r puts (-mu, 1) and (r, q) in the lattice
+    # x + mu*y = 0 (mod p), since r + mu*q = p, and their determinant is -p,
+    # so they are a basis of it; mu = 0 takes q, r = 0, p.  The first Lagrange
+    # round on the defining basis (p, 0), (-mu, 1) would take (p, 0) to (r, q)
+    # or next to it, so the reduction starts a round later.  Its result may
+    # differ from that of the defining basis in sign or order, but whether the
+    # lattice has a windmill pair, its color and its standard row depend on
+    # the lattice alone.
+    if mu is None:
+        return _reduce_raw(1, 0, 0, p)
+    q, r = divmod(p, mu) if mu else (0, p)
+    return _reduce_raw(-mu, 1, r, q)
+
+
 def gauss_reduce(b: LatticeBasis) -> LatticeBasis:
     """Gaussian (Lagrange) reduction: shortest-pair basis of the same lattice.
 

@@ -7,15 +7,16 @@ the two upper cones of a single color.  A lattice of the slope family carries
 windmill bases of exactly one color, and the black ones encode decompositions
 p = a*b + c*d through the standard form u = (a, c), v = (-d, b).
 
-The work happens on plain integers in three layers: lattice2d._reduce_raw
-Lagrange-reduces the basis, _windmill_pair_raw picks the windmill pair among
-the Voronoi vectors of the reduced basis, and _standard_basis_raw mirrors a
-white pair onto a black one and slides it to the standard basis.  The
-per-slope kernel _fast_solution_raw takes a reduced basis, so the walk can
-hand one reduction to two slopes, and checks the row it slides to.  The object
-API sits on top: find_windmill_basis, all_windmill_bases, and the slope pair
-standard_black_basis and fast_solution_for_pair, which both take their row from
-_slope_row.
+The work happens on plain integers in three layers: lattice2d Lagrange-reduces
+the basis, _windmill_pair_raw picks the windmill pair among the Voronoi
+vectors of the reduced basis, and _standard_basis_raw mirrors a white pair
+onto a black one and slides it to the standard basis.  The per-slope kernel
+_fast_solution_raw takes a reduced basis, so the walk can hand one reduction
+to two slopes, and checks the row it slides to.  The object API sits on top:
+find_windmill_basis and all_windmill_bases reduce the caller's basis with
+lattice2d._reduce_raw, and the slope pair standard_black_basis and
+fast_solution_for_pair both take their row from _slope_row, which reduces the
+slope lattice with lattice2d._reduce_slope_raw, as the walk does.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .lattice2d import (
     LatticeBasis,
     SlopeClass,
     _reduce_raw,
+    _reduce_slope_raw,
 )
 
 
@@ -199,7 +201,7 @@ def _slope_row(s: SlopeClass) -> tuple[bool, tuple[int, int, int, int]]:
             f"slope {'infinity' if s.is_infinity else s.mu} of p = {s.p} carries "
             "no windmill basis; mu must lie in [2, p-2]"
         )
-    return _fast_solution_raw(s.p, *_reduce_raw(s.p, 0, -s.mu, 1))
+    return _fast_solution_raw(s.p, *_reduce_slope_raw(s.p, s.mu))
 
 
 def standard_black_basis(s: SlopeClass) -> Solution | None:

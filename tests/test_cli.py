@@ -559,10 +559,7 @@ class TestVerify:
         # slope by that slope's own.  The messages are those the sweep printed
         # when the same faults were planted in each slope's WindmillBasisSet.
         real = cli._windmill_pair_raw
-        targets = {
-            lattice2d._reduce_raw(*((1, 0, 0, 13) if mu is None else (13, 0, -mu, 1)))
-            for mu in slopes
-        }
+        targets = {lattice2d._reduce_slope_raw(13, mu) for mu in slopes}
 
         def faulty(*reduced):
             pair = real(*reduced)

@@ -171,7 +171,7 @@ class TestEnumerateBruteforce:
         for module, name in (
             (lattice2d, "_reduce_raw"),
             (windmill, "_fast_solution_raw"),
-            (decomp, "_reduce_raw"),
+            (decomp, "_reduce_slope_raw"),
             (decomp, "_fast_solution_raw"),
             (decomp, "_walk_rows"),
         ):
@@ -231,31 +231,13 @@ class TestWalkRows:
             return wrapper
 
         monkeypatch.setattr(decomp, "_fast_solution_raw", counted("kernel", _fast_solution_raw))
-        monkeypatch.setattr(decomp, "_reduce_raw", counted("reduce", decomp._reduce_raw))
+        # the walk reduces through lattice2d._reduce_slope_raw, which calls
+        # _reduce_raw through lattice2d's binding
+        monkeypatch.setattr(lattice2d, "_reduce_raw", counted("reduce", lattice2d._reduce_raw))
         assert len(list(decomp._walk_rows(p))) == (p + 1) // 2
         # (p-3)/2 pairs fall into classes of two, plus one self-partner class
         # when p = 1 (mod 4): 25 classes at both 101 and 103
         assert calls == {"kernel": (p - 3) // 2, "reduce": 25}
-
-    def test_seeded_start_gives_the_same_rows(self):
-        # the walk reduces (-mu, 1), (r, q) with p = q*mu + r; the kernel must
-        # give what it gives on the reduced (p, 0), (-mu, 1), for the class
-        # representative mu and for the swapped basis of its partner
-        for p in odd_primes(2000):
-            half = (p - 1) // 2
-            for mu in range(2, half + 1):
-                partner = pow(mu, -1, p)
-                if min(partner, p - partner) < mu:
-                    continue
-                q, r = divmod(p, mu)
-                ax, ay, bx, by = lattice2d._reduce_raw(-mu, 1, r, q)
-                cx, cy, dx, dy = lattice2d._reduce_raw(p, 0, -mu, 1)
-                assert _fast_solution_raw(p, ax, ay, bx, by) == _fast_solution_raw(
-                    p, cx, cy, dx, dy
-                ), (p, mu)
-                assert _fast_solution_raw(p, ay, ax, by, bx) == _fast_solution_raw(
-                    p, cy, cx, dy, dx
-                ), (p, mu)
 
     def test_count_check_names_the_prime(self, monkeypatch):
         real = decomp._walk_rows

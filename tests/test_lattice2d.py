@@ -18,6 +18,8 @@ from windmills.lattice2d import (
     IVec2,
     LatticeBasis,
     SlopeClass,
+    _reduce_raw,
+    _reduce_slope_raw,
     contains,
     det,
     gauss_reduce,
@@ -30,6 +32,7 @@ from windmills.lattice2d import (
     upper_rep,
     voronoi_cell,
 )
+from windmills.windmill import _fast_solution_raw, _windmill_pair_raw
 
 V = IVec2
 
@@ -174,6 +177,37 @@ class TestGaussReduce:
         bound = max(abs(b.u.x), abs(b.u.y)) + max(abs(b.v.x), abs(b.v.y))
         pts = basis_points(b.u.x, b.u.y, b.v.x, b.v.y, bound)
         assert red.u.norm2() == min_norm2(pts)
+
+
+class TestReduceSlopeRaw:
+    def test_reduced_basis_of_every_slope(self):
+        # every point of the projective line of every odd prime below 2000:
+        # the seeded start gives a reduced basis of the slope lattice, and the
+        # cone pick and the kernel give what they give on the reduced defining
+        # basis lambda_mu, the independent reference
+        def pick(*reduced):
+            # None when the lattice has no windmill pair, else whether it is black
+            pair = _windmill_pair_raw(*reduced)
+            return None if pair is None else pair[0]
+
+        for p in odd_primes(2000):
+            for mu in [*range(p), None]:
+                s = SlopeClass(p, mu)
+                ax, ay, bx, by = _reduce_slope_raw(p, mu)
+                assert contains(s, V(ax, ay)) and contains(s, V(bx, by)), (p, mu)
+                assert abs(ax * by - ay * bx) == p, (p, mu)
+                na, nb = ax * ax + ay * ay, bx * bx + by * by
+                assert 2 * abs(ax * bx + ay * by) <= na <= nb, (p, mu)
+                d = lambda_mu(s)
+                ref = _reduce_raw(d.u.x, d.u.y, d.v.x, d.v.y)
+                assert pick(ax, ay, bx, by) == pick(*ref), (p, mu)
+                if mu is not None and 2 <= mu <= p - 2:
+                    assert _fast_solution_raw(p, ax, ay, bx, by) == _fast_solution_raw(p, *ref), (p, mu)
+                    # the walk hands the swapped basis to the slope 1/mu
+                    rx, ry, sx, sy = ref
+                    assert _fast_solution_raw(p, ay, ax, by, bx) == _fast_solution_raw(
+                        p, ry, rx, sy, sx
+                    ), (p, mu)
 
 
 class TestBasisPredicates:
