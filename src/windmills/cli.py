@@ -26,13 +26,15 @@ from .decomp import (
 )
 from .lattice2d import (
     IVec2,
+    LatticeBasis,
     SlopeClass,
     _reduce_slope_raw,
+    _reduce_slopes_raw,
     lambda_mu,
     minimal_vector,
     voronoi_cell,
 )
-from .numtheory import _require_odd_prime
+from .numtheory import _inverses, _require_odd_prime
 from .render import SvgDocument, _check_extent, lattice_svg, tiling_svg
 from .windmill import (
     Solution,
@@ -116,26 +118,32 @@ def check_color(p: int) -> str | None:
     """No windmill basis exactly on slopes 0, 1, p-1 and infinity; colors flip
     under mu -> p - mu and mu -> 1/mu; exactly (p-3)/2 black slopes."""
     # prove p prime once; a SlopeClass per slope would prove it again each time.
-    # The cone pick on each slope's own reduction tells existence and color.
+    # The cone pick on each slope's reduced basis tells existence and color;
+    # the slopes are swept in order, so each is reduced from its neighbour.
     _require_odd_prime(p)
-    black: dict[int, bool] = {}
-    for mu in range(p):
-        pair = _windmill_pair_raw(*_reduce_slope_raw(p, mu))
-        if mu in (0, 1, p - 1):
-            if pair is not None:
-                return f"p={p}, mu={mu}: unexpected windmill basis"
-        elif pair is None:
+    bases = _reduce_slopes_raw(p, range(p))
+    for mu in (0, 1):
+        if _windmill_pair_raw(*next(bases)) is not None:
+            return f"p={p}, mu={mu}: unexpected windmill basis"
+    # black[mu] for mu in [2, p-2]; slopes 0 and 1 have no color
+    black = [False, False]
+    for mu, basis in zip(range(2, p - 1), bases):
+        pair = _windmill_pair_raw(*basis)
+        if pair is None:
             return f"p={p}, mu={mu}: missing windmill basis"
-        else:
-            black[mu] = pair[0]
+        black.append(pair[0])
+    if _windmill_pair_raw(*next(bases)) is not None:
+        return f"p={p}, mu={p - 1}: unexpected windmill basis"
     if _windmill_pair_raw(*_reduce_slope_raw(p, None)) is not None:
         return f"p={p}, mu=infinity: unexpected windmill basis"
-    for mu, is_black in black.items():
+    inv = _inverses(p, p - 2)
+    for mu in range(2, p - 1):
+        is_black = black[mu]
         if black[p - mu] == is_black:
             return f"p={p}: colors of mu={mu} and p-mu={p - mu} do not flip"
-        if black[pow(mu, -1, p)] == is_black:
-            return f"p={p}: colors of mu={mu} and 1/mu={pow(mu, -1, p)} do not flip"
-    blacks = sum(black.values())
+        if black[inv[mu]] == is_black:
+            return f"p={p}: colors of mu={mu} and 1/mu={inv[mu]} do not flip"
+    blacks = sum(black)
     if blacks != (p - 3) // 2:
         return f"p={p}: {blacks} black slopes instead of {(p - 3) // 2}"
     return None
@@ -250,11 +258,15 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     # range never goes unnoticed
     _check_extent(args.extent)
     s = SlopeClass(args.p, args.mu)
-    basis = lambda_mu(s)
+    # the first two Voronoi vectors are the canonical reduced pair: the
+    # defining basis is reduced once here, and all_windmill_bases and
+    # minimal_vector get a basis that their own reduction returns unchanged
+    data = voronoi_cell(lambda_mu(s))
+    reduced = LatticeBasis(data.vectors[0], data.vectors[1])
     # check the listing cap, then render and write, before printing, so that
     # a refused input, a picture out of range or an unwritable path fails
     # with no output
-    bases = all_windmill_bases(basis)
+    bases = all_windmill_bases(reduced)
     if bases is not None and bases.count > _BASES_LIMIT:
         raise ValueError(
             f"the lattice has {bases.count} windmill bases; "
@@ -262,11 +274,9 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         )
     if args.svg:
         _write_svg(lattice_svg(s, args.extent), args.svg)
-    # the first two Voronoi vectors are the canonical reduced pair
-    data = voronoi_cell(basis)
     print(f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}")
     print(f"reduced basis: {_fmt_vec(data.vectors[0])}, {_fmt_vec(data.vectors[1])}")
-    print(f"minimal vector: {_fmt_vec(minimal_vector(basis))}")
+    print(f"minimal vector: {_fmt_vec(minimal_vector(reduced))}")
     print(f"voronoi vectors: {', '.join(_fmt_vec(w) for w in data.vectors)}")
     print(f"voronoi cell: {', '.join(_fmt_vertex(v) for v in data.cell_vertices)}")
     if bases is None:

@@ -6,8 +6,8 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .lattice2d import _reduce_slope_raw
-from .numtheory import _require_odd_prime, sqrt_minus_one
+from .lattice2d import _reduce_slope_raw, _reduce_slopes_raw
+from .numtheory import _inverses, _require_odd_prime, sqrt_minus_one
 from .windmill import Solution, _fast_solution_raw
 
 _BRUTE_LIMIT = 10**6
@@ -99,26 +99,29 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
     # {+-mu, +-1/mu}: it is done at the least member mu in [2, (p-1)/2], and
     # the partner pair gets the swapped basis.  A class is its own partner only
     # when mu*mu = -1 (mod p), and its row is the fixed point a == b, c == d.
-    # The limit is checked at the first row, before any slope is walked.
+    # The least members come in increasing order, so lattice2d reduces each
+    # from the previous one's reduced basis.  The limit is checked at the
+    # first row, before any slope is walked.
     if p > _WALK_LIMIT:
         raise ValueError(f"the windmill walk is limited to p <= {_WALK_LIMIT}")
     yield p, 1, 0, 0
     yield 1, p, 0, 0
     half = (p - 1) // 2
-    # inv[m] is +-1/m (mod p) folded into [1, half]; from p = q*m + r it
-    # follows that 1/m = -q/r, and r < m is already in the table
-    inv = [0, 1] + [0] * (half - 1)
+    inv = _inverses(p, half)
+    least = []
+    fixed = 0
     for mu in range(2, half + 1):
-        q, r = divmod(p, mu)
-        partner = q * inv[r] % p
+        # +-1/mu folded into [1, half]
+        partner = inv[mu]
         if partner > half:
             partner = p - partner
-        inv[mu] = partner
-        if partner < mu:
-            continue
-        ax, ay, bx, by = _reduce_slope_raw(p, mu)
+        if partner >= mu:
+            least.append(mu)
+            if partner == mu:
+                fixed = mu
+    for mu, (ax, ay, bx, by) in zip(least, _reduce_slopes_raw(p, least)):
         yield _fast_solution_raw(p, ax, ay, bx, by)[1]
-        if partner != mu:
+        if mu != fixed:
             # the swapped basis spans the lattice of slope exactly 1/mu
             yield _fast_solution_raw(p, ay, ax, by, bx)[1]
 
@@ -137,10 +140,11 @@ def enumerate_fast(p: int) -> set[Solution]:
     plus the two degenerate rows (p, 1, 0, 0) and (1, p, 0, 0).
 
     The walk Lagrange-reduces one lattice per class {+-mu, +-1/mu} and hands
-    the partner pair the swapped basis.  The reductions are lattice2d's
-    seeded slope reductions: each starts from the basis (-mu, 1), (r, q) with
-    p = q*mu + r, which skips the first round that (p, 0), (-mu, 1) would
-    take.  Limited to p <= _WALK_LIMIT.
+    the partner pair the swapped basis.  It takes the classes by their least
+    member in increasing order and reduces each lattice from the previous
+    one's reduced basis, sheared onto the new slope, which is nearly reduced;
+    only the first starts from the basis (-mu, 1), (r, q) with p = q*mu + r.
+    Limited to p <= _WALK_LIMIT.
     """
     return {Solution(a, b, c, d, p) for a, b, c, d in _checked_rows(p)}
 

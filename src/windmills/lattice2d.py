@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterable, Iterator
 
 from .numtheory import is_prime
 
@@ -152,19 +153,41 @@ def _reduce_raw(ax: int, ay: int, bx: int, by: int) -> tuple[int, int, int, int]
 
 def _reduce_slope_raw(p: int, mu: int | None) -> tuple[int, int, int, int]:
     # A Lagrange-reduced basis of the slope lattice, for mu in [0, p) or None
-    # (infinity): every plain-int reduction of a slope lattice starts here.
-    # For finite mu, p = q*mu + r puts (-mu, 1) and (r, q) in the lattice
-    # x + mu*y = 0 (mod p), since r + mu*q = p, and their determinant is -p,
-    # so they are a basis of it; mu = 0 takes q, r = 0, p.  The first Lagrange
-    # round on the defining basis (p, 0), (-mu, 1) would take (p, 0) to (r, q)
-    # or next to it, so the reduction starts a round later.  Its result may
-    # differ from that of the defining basis in sign or order, but whether the
-    # lattice has a windmill pair, its color and its standard row depend on
-    # the lattice alone.
+    # (infinity), reduced on its own: a single slope, and the first slope of
+    # a sweep, start here; _reduce_slopes_raw reduces the others from their
+    # neighbour.  For finite mu, p = q*mu + r puts (-mu, 1) and (r, q) in the
+    # lattice x + mu*y = 0 (mod p), since r + mu*q = p, and their determinant
+    # is -p, so they are a basis of it; mu = 0 takes q, r = 0, p.  The first
+    # Lagrange round on the defining basis (p, 0), (-mu, 1) would take (p, 0)
+    # to (r, q) or next to it, so the reduction starts a round later.  Its
+    # result may differ from that of the defining basis in sign or order, but
+    # whether the lattice has a windmill pair, its color and its standard row
+    # depend on the lattice alone.
     if mu is None:
         return _reduce_raw(1, 0, 0, p)
     q, r = divmod(p, mu) if mu else (0, p)
     return _reduce_raw(-mu, 1, r, q)
+
+
+def _reduce_slopes_raw(p: int, mus: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    # A Lagrange-reduced basis of the slope lattice of each finite mu in mus,
+    # in order, with one reduction per slope.  The shear (x, y) -> (x - k*y, y)
+    # has determinant 1 and maps the lattice x + mu*y = 0 (mod p) onto that of
+    # mu + k, so the previous slope's reduced basis, sheared by k = mu - prev,
+    # is a basis of the next lattice.  For a small step it is nearly reduced,
+    # and the reduction takes about one round instead of three or four; any
+    # order of slopes is valid.
+    slopes = iter(mus)
+    prev = next(slopes, None)
+    if prev is None:
+        return
+    ax, ay, bx, by = _reduce_slope_raw(p, prev)
+    yield ax, ay, bx, by
+    for mu in slopes:
+        k = mu - prev
+        prev = mu
+        ax, ay, bx, by = _reduce_raw(ax - k * ay, ay, bx - k * by, by)
+        yield ax, ay, bx, by
 
 
 def gauss_reduce(b: LatticeBasis) -> LatticeBasis:

@@ -55,6 +55,17 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"expected an odd prime, got {p}")
 
 
+def _inverses(p: int, n: int) -> list[int]:
+    # [0, 1/1, 1/2, ..., 1/n] modulo the prime p, for n < p, in O(1) per
+    # entry: p = q*m + r gives q*m = -r, so 1/m = -q/r, and r < m is already
+    # in the table
+    inv = [0, 1]
+    for m in range(2, n + 1):
+        q, r = divmod(p, m)
+        inv.append(-q * inv[r] % p)
+    return inv
+
+
 def smallest_nonresidue(p: int) -> Residue:
     """The least n >= 2 that is not a square modulo the odd prime p."""
     _require_odd_prime(p)

@@ -16,7 +16,9 @@ to two slopes, and checks the row it slides to.  The object API sits on top:
 find_windmill_basis and all_windmill_bases reduce the caller's basis with
 lattice2d._reduce_raw, and the slope pair standard_black_basis and
 fast_solution_for_pair both take their row from _slope_row, which reduces the
-slope lattice with lattice2d._reduce_slope_raw, as the walk does.
+one slope lattice with lattice2d._reduce_slope_raw; the walk reduces its
+lattices in a sweep with lattice2d._reduce_slopes_raw, each from its
+neighbour's reduced basis.
 """
 
 from __future__ import annotations

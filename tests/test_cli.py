@@ -48,6 +48,31 @@ def drop_hit(monkeypatch):
     monkeypatch.setattr(decomp, "_bruteforce_hits", short)
 
 
+def plant_color_faults(monkeypatch, faults):
+    # The pick sees only a reduced basis, and the sweep may reach a
+    # lattice's reduced basis with another sign or order, so the fake
+    # knows a faulty slope of p = 13 by lattice membership: both vectors
+    # satisfy x + mu*y = 0 (mod 13), or y = 0 (mod 13) at infinity.
+    # faults maps a slope to "drop", "plant" or "flip".
+    real = cli._windmill_pair_raw
+    targets = [(lattice2d.SlopeClass(13, mu), fault) for mu, fault in faults.items()]
+
+    def faulty(ax, ay, bx, by):
+        pair = real(ax, ay, bx, by)
+        u, v = lattice2d.IVec2(ax, ay), lattice2d.IVec2(bx, by)
+        for s, fault in targets:
+            if lattice2d.contains(s, u) and lattice2d.contains(s, v):
+                if fault == "drop":
+                    return None
+                if fault == "plant":
+                    return True, (1, 0), (0, 1)
+                black, u, v = pair
+                return not black, u, v
+        return pair
+
+    monkeypatch.setattr(cli, "_windmill_pair_raw", faulty)
+
+
 def load_schema(name):
     text = (resources.files("windmills") / "schemas" / name).read_text()
     return json.loads(text)
@@ -555,25 +580,26 @@ class TestVerify:
         ],
     )
     def test_color_reports_each_fault(self, monkeypatch, slopes, fault, message):
-        # The pick sees only a reduced basis, so the fake knows a faulty
-        # slope by that slope's own.  The messages are those the sweep printed
-        # when the same faults were planted in each slope's WindmillBasisSet.
-        real = cli._windmill_pair_raw
-        targets = {lattice2d._reduce_slope_raw(13, mu) for mu in slopes}
-
-        def faulty(*reduced):
-            pair = real(*reduced)
-            if reduced not in targets:
-                return pair
-            if fault == "drop":
-                return None
-            if fault == "plant":
-                return True, (1, 0), (0, 1)
-            black, u, v = pair
-            return not black, u, v
-
-        monkeypatch.setattr(cli, "_windmill_pair_raw", faulty)
+        # The messages are those the sweep printed when the same faults were
+        # planted in each slope's WindmillBasisSet.
+        plant_color_faults(monkeypatch, {mu: fault for mu in slopes})
         assert cli.check_color(13) == message
+
+    @pytest.mark.parametrize(
+        "faults,mu",
+        [
+            ({0: "plant", 1: "plant", 5: "drop", 12: "plant", None: "plant"}, "0"),
+            ({1: "plant", 5: "drop", 12: "plant", None: "plant"}, "1"),
+            ({5: "drop", 12: "plant", None: "plant"}, "5"),
+            ({12: "plant", None: "plant"}, "12"),
+            ({None: "plant", 11: "flip"}, "infinity"),
+        ],
+    )
+    def test_color_reports_the_first_fault_in_slope_order(self, monkeypatch, faults, mu):
+        # existence is checked at 0, 1, then 2..p-2, then p-1, then infinity,
+        # all before any color flip
+        plant_color_faults(monkeypatch, faults)
+        assert cli.check_color(13).startswith(f"p=13, mu={mu}: ")
 
     def test_color_builds_no_windmill_basis_set(self, monkeypatch):
         def no_set(b):

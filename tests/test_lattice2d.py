@@ -14,12 +14,14 @@ from oracles import (
     shoelace_area2,
     slope_points,
 )
+from windmills import lattice2d
 from windmills.lattice2d import (
     IVec2,
     LatticeBasis,
     SlopeClass,
     _reduce_raw,
     _reduce_slope_raw,
+    _reduce_slopes_raw,
     contains,
     det,
     gauss_reduce,
@@ -208,6 +210,66 @@ class TestReduceSlopeRaw:
                     assert _fast_solution_raw(p, ay, ax, by, bx) == _fast_solution_raw(
                         p, ry, rx, sy, sx
                     ), (p, mu)
+
+
+class TestReduceSlopesRaw:
+    @staticmethod
+    def pick(*reduced):
+        # None when the lattice has no windmill pair, else whether it is black
+        pair = _windmill_pair_raw(*reduced)
+        return None if pair is None else pair[0]
+
+    @staticmethod
+    def rows(p, ax, ay, bx, by):
+        # the kernel's row on the basis, and on the swapped basis, which the
+        # walk hands to the slope 1/mu
+        return _fast_solution_raw(p, ax, ay, bx, by), _fast_solution_raw(p, ay, ax, by, bx)
+
+    def test_reduced_basis_of_every_slope_in_any_order(self, monkeypatch):
+        # every odd prime below 2000, over the color sweep's order range(p),
+        # the walk's class representatives (the least member in [2, (p-1)/2]
+        # of each class {+-mu, +-1/mu}, increasing) and a shuffled order: each
+        # yielded basis is a reduced basis of its own slope's lattice, the
+        # cone pick and the kernel give what they give on the slope's own
+        # reduction, and each slope costs one reduction
+        calls = []
+
+        def counted(*basis):
+            calls.append(basis)
+            return _reduce_raw(*basis)
+
+        for p in odd_primes(2000):
+            slopes = [SlopeClass(p, mu) for mu in range(p)]
+            # what the slope's own reduction gives: (pick, row, swapped row)
+            refs = []
+            for mu in range(p):
+                rx, ry, sx, sy = _reduce_slope_raw(p, mu)
+                rows = self.rows(p, rx, ry, sx, sy) if 2 <= mu <= p - 2 else None
+                refs.append((self.pick(rx, ry, sx, sy), rows))
+            half = (p - 1) // 2
+            least = [mu for mu in range(2, half + 1) if mu <= pow(mu, -1, p) <= p - mu]
+            shuffled = list(range(p))
+            random.Random(p).shuffle(shuffled)
+            for mus in (range(p), least, shuffled):
+                calls.clear()
+                monkeypatch.setattr(lattice2d, "_reduce_raw", counted)
+                got = list(_reduce_slopes_raw(p, mus))
+                monkeypatch.undo()
+                assert len(got) == len(calls) == len(mus), p
+                for mu, (ax, ay, bx, by) in zip(mus, got):
+                    s = slopes[mu]
+                    assert contains(s, V(ax, ay)) and contains(s, V(bx, by)), (p, mu)
+                    assert abs(ax * by - ay * bx) == p, (p, mu)
+                    na, nb = ax * ax + ay * ay, bx * bx + by * by
+                    assert 2 * abs(ax * bx + ay * by) <= na <= nb, (p, mu)
+                    pick, rows = refs[mu]
+                    assert self.pick(ax, ay, bx, by) == pick, (p, mu)
+                    if rows is not None:
+                        assert self.rows(p, ax, ay, bx, by) == rows, (p, mu)
+
+    def test_empty_and_single(self):
+        assert list(_reduce_slopes_raw(13, [])) == []
+        assert list(_reduce_slopes_raw(13, [7])) == [_reduce_slope_raw(13, 7)]
 
 
 class TestBasisPredicates:

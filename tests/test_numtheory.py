@@ -5,6 +5,7 @@ import pytest
 from oracles import odd_primes, sieve_primes, trial_is_prime
 from windmills.numtheory import (
     Residue,
+    _inverses,
     is_prime,
     smallest_nonresidue,
     sqrt_minus_one,
@@ -86,6 +87,20 @@ class TestSqrtMinusOne:
     def test_rejects_three_mod_four(self, p):
         with pytest.raises(ValueError):
             sqrt_minus_one(p)
+
+
+class TestInverses:
+    def test_equals_pow_for_every_prime_below_3000(self):
+        # the whole table, and the half table that the walk takes
+        for p in odd_primes(3000):
+            want = [0] + [pow(m, -1, p) for m in range(1, p)]
+            assert _inverses(p, p - 1) == want, p
+            assert _inverses(p, (p - 1) // 2) == want[: (p + 1) // 2], p
+
+    @pytest.mark.parametrize("p", [99989, 99991])
+    def test_spot_values_large(self, p):
+        inv = _inverses(p, p - 1)
+        assert all(m * inv[m] % p == 1 for m in range(1, p))
 
 
 class TestWilsonOracle:
