@@ -10,6 +10,8 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .decomp import (
     _WALK_LIMIT,
@@ -38,9 +40,9 @@ from .numtheory import _inverses, _require_odd_prime
 from .render import SvgDocument, _check_extent, lattice_svg, tiling_svg
 from .windmill import (
     Solution,
+    _fast_solution_raw,
     _windmill_pair_raw,
     all_windmill_bases,
-    standard_black_basis,
 )
 
 _INPUT_BOUND = 2**62
@@ -52,6 +54,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 # 128 + SIGPIPE: what a shell reports for a process killed by a closed pipe
 _EXIT_BROKEN_PIPE = 141
+# `decompose` writes its listing this many pieces at a time: text lines, or
+# pieces of the JSON encoder's output
+_PIECES_PER_WRITE = 1024
 
 
 def _bounded_int(text: str) -> int:
@@ -198,24 +203,32 @@ def run_verify(mode: str, max_n: int, jobs: int = 1) -> tuple[int, list[str]]:
 # command handlers
 
 
+def _write_pieces(pieces: Iterator[str]) -> None:
+    # write the pieces to stdout as they come, _PIECES_PER_WRITE at a time, so
+    # that no list of every piece and no string of the whole output is built
+    while batch := list(islice(pieces, _PIECES_PER_WRITE)):
+        sys.stdout.write("".join(batch))
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     p = args.p
-    found = _checked_rows(p)
-    rows = sorted(found, reverse=True)
+    rows, found = _checked_rows(p)
+    rows.sort(reverse=True)
     orbits = _sorted_orbits(rows, found) if args.orbits else None
     if args.format == "json":
-        payload: dict = {"p": p, "count": len(rows), "solutions": [list(row) for row in rows]}
+        # json writes the row tuples as arrays
+        payload: dict = {"p": p, "count": len(rows), "solutions": rows}
         if orbits is not None:
-            payload["orbits"] = [{"rep": list(rep), "size": size} for rep, size in orbits]
-        print(json.dumps(payload, indent=2))
+            payload["orbits"] = [{"rep": rep, "size": size} for rep, size in orbits]
+        _write_pieces(json.JSONEncoder(indent=2).iterencode(payload))
+        sys.stdout.write("\n")
         return EXIT_OK
-    lines = [f"p = {p}", f"count = {len(rows)}"]
-    lines += [f"{a} {b} {c} {d}" for a, b, c, d in rows]
+    sys.stdout.write(f"p = {p}\ncount = {len(rows)}\n")
+    _write_pieces(map("%d %d %d %d\n".__mod__, rows))
     if orbits is not None:
-        lines.append("orbits (a b c d size):")
-        lines += [f"{a} {b} {c} {d} {size}" for (a, b, c, d), size in orbits]
-        lines.append(f"total {sum(size for _, size in orbits)}")
-    print("\n".join(lines))
+        sys.stdout.write("orbits (a b c d size):\n")
+        _write_pieces("%d %d %d %d %d\n" % (*rep, size) for rep, size in orbits)
+        sys.stdout.write(f"total {sum(size for _, size in orbits)}\n")
     return EXIT_OK
 
 
@@ -259,8 +272,9 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     _check_extent(args.extent)
     s = SlopeClass(args.p, args.mu)
     # the first two Voronoi vectors are the canonical reduced pair: the
-    # defining basis is reduced once here, and all_windmill_bases and
-    # minimal_vector get a basis that their own reduction returns unchanged
+    # defining basis is reduced once here, all_windmill_bases and
+    # minimal_vector get a basis that their own reduction returns unchanged,
+    # and the standard solution is read off it
     data = voronoi_cell(lambda_mu(s))
     reduced = LatticeBasis(data.vectors[0], data.vectors[1])
     # check the listing cap, then render and write, before printing, so that
@@ -287,14 +301,14 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             f"{_fmt_vec(e)}, {_fmt_vec(f)}" for e, f in bases.bases()
         )
         print(f"windmill bases ({bases.count}): {listed}")
-        sol = standard_black_basis(s)
-        if sol is None:
+        # windmill bases exist only for mu in [2, p-2], so the kernel reads
+        # the standard row off the reduced pair without a second reduction
+        u, v = reduced.u, reduced.v
+        black, (a, b, c, d) = _fast_solution_raw(s.p, u.x, u.y, v.x, v.y)
+        if not black:
             print(f"standard solution: none (black partner: mu = {s.p - s.mu})")
         else:
-            print(
-                f"standard solution: ({sol.a}, {sol.b}, {sol.c}, {sol.d})"
-                f"   [{s.p} = {sol.a}*{sol.b} + {sol.c}*{sol.d}]"
-            )
+            print(f"standard solution: ({a}, {b}, {c}, {d})   [{s.p} = {a}*{b} + {c}*{d}]")
     if args.svg:
         print(f"wrote {args.svg}")
     return EXIT_OK

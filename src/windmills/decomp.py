@@ -100,8 +100,10 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
     # the partner pair gets the swapped basis.  A class is its own partner only
     # when mu*mu = -1 (mod p), and its row is the fixed point a == b, c == d.
     # The least members come in increasing order, so lattice2d reduces each
-    # from the previous one's reduced basis.  The limit is checked at the
-    # first row, before any slope is walked.
+    # from the previous one's reduced basis.  The table of inverses, one int
+    # per row of S_p, is dropped once they are listed, so it is gone before
+    # the caller's rows pile up.  The limit is checked at the first row,
+    # before any slope is walked.
     if p > _WALK_LIMIT:
         raise ValueError(f"the windmill walk is limited to p <= {_WALK_LIMIT}")
     yield p, 1, 0, 0
@@ -119,6 +121,7 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
             least.append(mu)
             if partner == mu:
                 fixed = mu
+    del inv
     for mu, (ax, ay, bx, by) in zip(least, _reduce_slopes_raw(p, least)):
         yield _fast_solution_raw(p, ax, ay, bx, by)[1]
         if mu != fixed:
@@ -126,13 +129,22 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
             yield _fast_solution_raw(p, ay, ax, by, bx)[1]
 
 
-def _checked_rows(p: int) -> set[tuple[int, int, int, int]]:
-    # S_p as a set of walk rows, for an odd prime p, with its (p+1)/2 count
-    # asserted: every caller of the walk takes its rows here
+def _checked_rows(
+    p: int,
+) -> tuple[list[tuple[int, int, int, int]], set[tuple[int, int, int, int]]]:
+    # S_p as the walk's rows, in walk order, and as their set, for an odd
+    # prime p, with the (p+1)/2 count asserted on both, so the rows are
+    # distinct and complete: every caller of the walk takes its rows here.
+    # The list and the set share their tuples.  The list keeps them in the
+    # order they were made, which is close to their order in memory, so
+    # sorting it in place is faster than sorting the set.
     _require_odd_prime(p)
-    rows = set(_walk_rows(p))
-    assert len(rows) == (p + 1) // 2, f"p={p}: the walk gave {len(rows)} rows, not {(p + 1) // 2}"
-    return rows
+    rows = list(_walk_rows(p))
+    found = set(rows)
+    n = (p + 1) // 2
+    assert len(rows) == n, f"p={p}: the walk gave {len(rows)} rows, not {n}"
+    assert len(found) == n, f"p={p}: the walk gave {len(found)} distinct rows, not {n}"
+    return rows, found
 
 
 def enumerate_fast(p: int) -> set[Solution]:
@@ -146,7 +158,7 @@ def enumerate_fast(p: int) -> set[Solution]:
     only the first starts from the basis (-mu, 1), (r, q) with p = q*mu + r.
     Limited to p <= _WALK_LIMIT.
     """
-    return {Solution(a, b, c, d, p) for a, b, c, d in _checked_rows(p)}
+    return {Solution(a, b, c, d, p) for a, b, c, d in _checked_rows(p)[1]}
 
 
 def _sorted_orbits(
@@ -194,7 +206,7 @@ def two_squares_fixed_point(p: int) -> tuple[int, int]:
     _require_odd_prime(p)
     if p % 4 != 1:
         raise ValueError(f"p = {p} is 3 (mod 4), not a sum of two squares")
-    for a, b, c, d in _checked_rows(p):
+    for a, b, c, d in _checked_rows(p)[0]:
         if a == b and c == d:
             return a, c
     raise AssertionError(f"S_{p} has no fixed point")

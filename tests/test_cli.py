@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -155,11 +157,35 @@ class TestDecompose:
     def test_orbits_reject_a_set_not_closed_under_the_swaps(self, capsys, monkeypatch):
         # S_13 short of (13, 1, 0, 0) and (2, 6, 1, 1): the sizes of the five
         # rows' representatives sum to 5, yet two orbits are incomplete
-        short = decomp._checked_rows(13) - {(13, 1, 0, 0), (2, 6, 1, 1)}
-        monkeypatch.setattr(cli, "_checked_rows", lambda p: set(short))
+        missing = {(13, 1, 0, 0), (2, 6, 1, 1)}
+        short = [row for row in decomp._checked_rows(13)[0] if row not in missing]
+        monkeypatch.setattr(cli, "_checked_rows", lambda p: (list(short), set(short)))
         code, out, err = run(["decompose", "13", "--orbits"], capsys)
         assert code == 2 and out == ""
         assert "not closed under the swap action: missing [(2, 6, 1, 1), (13, 1, 0, 0)]" in err
+
+    @pytest.mark.parametrize(
+        "extra,bound", [([], 1.6), (["--format", "json"], 3.0)], ids=["text", "json"]
+    )
+    def test_peak_memory_is_a_small_multiple_of_the_row_set(self, extra, bound):
+        # the listing is written as it is formatted or encoded, so the traced
+        # peak stays near the row set itself; a list of every formatted line,
+        # a joined copy of the output or a list copy of each row would not
+        p = 20011
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rows = set(decomp._walk_rows(p))
+            size = tracemalloc.get_traced_memory()[0] - start
+            del rows
+            with open(os.devnull, "w") as sink, redirect_stdout(sink):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                assert cli.main(["decompose", str(p), "--orbits", *extra]) == 0
+                peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * size, (peak, size)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_builds_no_solution_objects(self, capsys, monkeypatch, fmt):
@@ -695,20 +721,22 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 
 def test_broken_pipe_exits_141_without_a_traceback():
     # the reader closes its end after the first bytes, as `| head -1` does;
-    # the listing is far larger than a pipe buffer, so the writer sees it
+    # the listing is far larger than a pipe buffer, so the writer sees it in
+    # the middle of its writes, for the text lines and the encoded JSON alike
     src = str(Path(windmills.__file__).resolve().parent.parent)
     code = f"import sys; sys.path.insert(0, {src!r}); from windmills.cli import entry; entry()"
-    proc = subprocess.Popen(
-        [sys.executable, "-c", code, "decompose", "99991"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.read(16).startswith(b"p = 99991")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
+    for extra, head in [([], b"p = 99991"), (["--format", "json"], b'{\n  "p": 99991')]:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "decompose", "99991", *extra],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(16).startswith(head), extra
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141, extra
+        assert err == b"", extra
 
 
 def test_public_names_are_distinct_objects():

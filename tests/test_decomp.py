@@ -250,6 +250,18 @@ class TestWalkRows:
         with pytest.raises(AssertionError, match=r"^p=13: the walk gave 6 rows, not 7$"):
             enumerate_fast(13)
 
+    def test_count_check_catches_a_repeated_row(self, monkeypatch):
+        # (p+1)/2 rows with one of them twice: the list's count holds, the
+        # set's does not
+        real = decomp._walk_rows
+
+        def repeated(p):
+            return ((6, 2, 1, 1) if row == (3, 3, 2, 2) else row for row in real(p))
+
+        monkeypatch.setattr(decomp, "_walk_rows", repeated)
+        with pytest.raises(AssertionError, match=r"^p=13: the walk gave 6 distinct rows, not 7$"):
+            enumerate_fast(13)
+
     def test_self_partner_row_is_the_two_squares_pair(self):
         # only mu*mu = -1 (mod p) is its own partner, so a row with a == b and
         # c == d comes out once when p = 1 (mod 4) and never otherwise
