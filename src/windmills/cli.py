@@ -37,7 +37,7 @@ from .lattice2d import (
     voronoi_cell,
 )
 from .numtheory import _inverses, _require_odd_prime
-from .render import SvgDocument, _check_extent, lattice_svg, tiling_svg
+from .render import SvgDocument, _check_extent, _lattice_svg, tiling_svg
 from .windmill import (
     Solution,
     _fast_solution_raw,
@@ -274,7 +274,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     # the first two Voronoi vectors are the canonical reduced pair: the
     # defining basis is reduced once here, all_windmill_bases and
     # minimal_vector get a basis that their own reduction returns unchanged,
-    # and the standard solution is read off it
+    # and the standard solution and the picture are read off it
     data = voronoi_cell(lambda_mu(s))
     reduced = LatticeBasis(data.vectors[0], data.vectors[1])
     # check the listing cap, then render and write, before printing, so that
@@ -287,7 +287,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             f"lattice lists at most {_BASES_LIMIT}"
         )
     if args.svg:
-        _write_svg(lattice_svg(s, args.extent), args.svg)
+        _write_svg(_lattice_svg(s, args.extent, data), args.svg)
     print(f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}")
     print(f"reduced basis: {_fmt_vec(data.vectors[0])}, {_fmt_vec(data.vectors[1])}")
     print(f"minimal vector: {_fmt_vec(minimal_vector(reduced))}")

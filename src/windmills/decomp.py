@@ -155,7 +155,7 @@ def enumerate_fast(p: int) -> set[Solution]:
     the partner pair the swapped basis.  It takes the classes by their least
     member in increasing order and reduces each lattice from the previous
     one's reduced basis, sheared onto the new slope, which is nearly reduced;
-    only the first starts from the basis (-mu, 1), (r, q) with p = q*mu + r.
+    the first is sheared from the reduced basis (0, 1), (p, 0) of slope 0.
     Limited to p <= _WALK_LIMIT.
     """
     return {Solution(a, b, c, d, p) for a, b, c, d in _checked_rows(p)[1]}

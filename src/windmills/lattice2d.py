@@ -153,11 +153,11 @@ def _reduce_raw(ax: int, ay: int, bx: int, by: int) -> tuple[int, int, int, int]
 
 def _reduce_slope_raw(p: int, mu: int | None) -> tuple[int, int, int, int]:
     # A Lagrange-reduced basis of the slope lattice, for mu in [0, p) or None
-    # (infinity), reduced on its own: a single slope, and the first slope of
-    # a sweep, start here; _reduce_slopes_raw reduces the others from their
-    # neighbour.  For finite mu, p = q*mu + r puts (-mu, 1) and (r, q) in the
-    # lattice x + mu*y = 0 (mod p), since r + mu*q = p, and their determinant
-    # is -p, so they are a basis of it; mu = 0 takes q, r = 0, p.  The first
+    # (infinity), reduced on its own: a lone slope starts here, while a sweep
+    # reduces each slope from its neighbour in _reduce_slopes_raw.  For finite
+    # mu, p = q*mu + r puts (-mu, 1) and (r, q) in the lattice
+    # x + mu*y = 0 (mod p), since r + mu*q = p, and their determinant is -p,
+    # so they are a basis of it; mu = 0 takes q, r = 0, p.  The first
     # Lagrange round on the defining basis (p, 0), (-mu, 1) would take (p, 0)
     # to (r, q) or next to it, so the reduction starts a round later.  Its
     # result may differ from that of the defining basis in sign or order, but
@@ -174,16 +174,14 @@ def _reduce_slopes_raw(p: int, mus: Iterable[int]) -> Iterator[tuple[int, int, i
     # in order, with one reduction per slope.  The shear (x, y) -> (x - k*y, y)
     # has determinant 1 and maps the lattice x + mu*y = 0 (mod p) onto that of
     # mu + k, so the previous slope's reduced basis, sheared by k = mu - prev,
-    # is a basis of the next lattice.  For a small step it is nearly reduced,
-    # and the reduction takes about one round instead of three or four; any
-    # order of slopes is valid.
-    slopes = iter(mus)
-    prev = next(slopes, None)
-    if prev is None:
-        return
-    ax, ay, bx, by = _reduce_slope_raw(p, prev)
-    yield ax, ay, bx, by
-    for mu in slopes:
+    # is a basis of the next lattice.  The sweep starts from (0, 1), (p, 0),
+    # a reduced basis of slope 0's lattice, so the first slope is sheared like
+    # the others.  For a small step the sheared basis is nearly reduced, and
+    # the reduction takes about one round instead of three or four; any order
+    # of slopes is valid.
+    ax, ay, bx, by = 0, 1, p, 0
+    prev = 0
+    for mu in mus:
         k = mu - prev
         prev = mu
         ax, ay, bx, by = _reduce_raw(ax - k * ay, ay, bx - k * by, by)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .lattice2d import IVec2, SlopeClass, contains, lambda_mu, voronoi_cell
-from .windmill import Solution, standard_black_basis
+from .lattice2d import IVec2, SlopeClass, VoronoiData, contains, lambda_mu, voronoi_cell
+from .windmill import Solution, _fast_solution_raw
 
 SCALE = 10  # pixels per lattice unit
 
@@ -109,6 +109,12 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
     """Lattice points in [-extent, extent]^2 with the shaded black windmill
     cones, the Voronoi cell, the reduced basis, and the standard black windmill
     basis when the slope carries one."""
+    return _lattice_svg(s, extent, voronoi_cell(lambda_mu(s)))
+
+
+def _lattice_svg(s: SlopeClass, extent: int, cell: VoronoiData) -> SvgDocument:
+    # The picture of lattice_svg, drawn from the slope lattice's Voronoi data,
+    # which the caller has already computed: the lattice is not reduced again.
     if s.p > _MAX_LATTICE_P:
         raise ValueError(f"lattice pictures are limited to p <= {_MAX_LATTICE_P}")
     _check_extent(extent)
@@ -121,7 +127,6 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
     def py(y: float | Fraction) -> float:
         return float(e - y) * SCALE
 
-    basis = lambda_mu(s)
     lines = [
         "<defs>"
         '<marker id="arr-reduced" markerWidth="8" markerHeight="8" refX="6" refY="3" '
@@ -141,7 +146,6 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in tri)
         lines.append(f'<polygon points="{pts}" fill="{_CONE_FILL}"/>')
 
-    cell = voronoi_cell(basis)
     pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in cell.cell_vertices)
     lines.append(
         f'<polygon points="{pts}" fill="none" stroke="{_CELL_EDGE}" stroke-width="1.5"/>'
@@ -156,13 +160,16 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
                 )
 
     # the first two Voronoi vectors are the canonical reduced pair
-    for w in cell.vectors[:2]:
+    r, t = cell.vectors[:2]
+    for w in (r, t):
         lines.append(_arrow(px(0), py(0), px(w.x), py(w.y), _REDUCED_EDGE, "arr-reduced"))
 
+    # windmill bases exist only for mu in [2, p-2]; the kernel reads the
+    # standard row off the reduced pair
     if not s.is_infinity and 2 <= s.mu <= s.p - 2:
-        sol = standard_black_basis(s)
-        if sol is not None:
-            for wx, wy in ((sol.a, sol.c), (-sol.d, sol.b)):
+        black, (a, b, c, d) = _fast_solution_raw(s.p, r.x, r.y, t.x, t.y)
+        if black:
+            for wx, wy in ((a, c), (-d, b)):
                 lines.append(
                     _arrow(px(0), py(0), px(wx), py(wy), _STANDARD_EDGE, "arr-standard")
                 )

@@ -16,9 +16,10 @@ to two slopes, and checks the row it slides to.  The object API sits on top:
 find_windmill_basis and all_windmill_bases reduce the caller's basis with
 lattice2d._reduce_raw, and the slope pair standard_black_basis and
 fast_solution_for_pair both take their row from _slope_row, which reduces the
-one slope lattice with lattice2d._reduce_slope_raw; the walk reduces its
+one slope lattice with lattice2d._reduce_slope_raw.  The walk reduces its
 lattices in a sweep with lattice2d._reduce_slopes_raw, each from its
-neighbour's reduced basis.
+neighbour's reduced basis and the first from slope 0's; `windmills lattice`
+and its picture read the row off the reduced pair of the Voronoi data.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ from goldens import GOLDEN_ORBITS
 from oracles import odd_primes
 import windmills
 from windmills import cli, decomp, lattice2d, numtheory, windmill
+from windmills.lattice2d import SlopeClass
 from windmills.numtheory import is_prime
+from windmills.render import lattice_svg
 
 
 def run(argv, capsys):
@@ -324,6 +326,42 @@ class TestLattice:
         code, out, _ = run(["lattice", "13", "7", "--svg", str(target)], capsys)
         assert code == 0
         assert target.exists() and target.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("cmd", ["lattice_svg", "lattice --svg", "lattice"])
+    def test_reduces_the_lattice_once(self, capsys, monkeypatch, tmp_path, cmd):
+        # a reduction that changes its input is a real one; the report and the
+        # picture read everything else off the pair that voronoi_cell reduced,
+        # and hand it to a reduction that returns it unchanged or to none
+        real = lattice2d._reduce_raw
+        effective = []
+
+        def counted(*basis):
+            out = real(*basis)
+            if out != basis:
+                effective.append(basis)
+            return out
+
+        monkeypatch.setattr(lattice2d, "_reduce_raw", counted)
+        monkeypatch.setattr(windmill, "_reduce_raw", counted)
+        if cmd == "lattice_svg":
+            lattice_svg(SlopeClass(13, 7), 8)
+        else:
+            argv = ["lattice", "13", "7"]
+            if cmd == "lattice --svg":
+                argv += ["--svg", str(tmp_path / "lattice.svg")]
+            assert run(argv, capsys)[0] == 0
+        assert len(effective) == 1
+
+    @pytest.mark.parametrize("extent", [1, 8])
+    def test_svg_is_the_public_picture(self, capsys, tmp_path, extent):
+        # the command draws from its own Voronoi data; the bytes are those of
+        # render.lattice_svg on the slope, for every slope of 13
+        target = tmp_path / "lattice.svg"
+        for mu in [*map(str, range(13)), "inf"]:
+            argv = ["lattice", "13", mu, "--svg", str(target), "--extent", str(extent)]
+            assert run(argv, capsys)[0] == 0
+            s = SlopeClass(13, None if mu == "inf" else int(mu))
+            assert target.read_text(encoding="utf-8") == lattice_svg(s, extent).to_xml(), mu
 
     @pytest.mark.parametrize("extent", ["-5", "0", "51"])
     def test_rejects_extent_out_of_range_without_svg(self, capsys, extent):

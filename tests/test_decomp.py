@@ -232,7 +232,7 @@ class TestWalkRows:
             return wrapper
 
         monkeypatch.setattr(decomp, "_fast_solution_raw", counted("kernel", _fast_solution_raw))
-        # the walk reduces through lattice2d._reduce_slope_raw, which calls
+        # the walk reduces through lattice2d._reduce_slopes_raw, which calls
         # _reduce_raw through lattice2d's binding
         monkeypatch.setattr(lattice2d, "_reduce_raw", counted("reduce", lattice2d._reduce_raw))
         assert len(list(decomp._walk_rows(p))) == (p + 1) // 2

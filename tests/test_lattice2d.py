@@ -267,9 +267,30 @@ class TestReduceSlopesRaw:
                     if rows is not None:
                         assert self.rows(p, ax, ay, bx, by) == rows, (p, mu)
 
-    def test_empty_and_single(self):
+    def test_empty_and_single(self, monkeypatch):
         assert list(_reduce_slopes_raw(13, [])) == []
-        assert list(_reduce_slopes_raw(13, [7])) == [_reduce_slope_raw(13, 7)]
+        # a lone slope is sheared from slope 0's reduced basis, so its basis
+        # may differ from _reduce_slope_raw's in sign or order, but it is a
+        # reduced basis of the same lattice, from one reduction, and the
+        # kernel reads the same row off it
+        calls = []
+
+        def counted(*basis):
+            calls.append(basis)
+            return _reduce_raw(*basis)
+
+        monkeypatch.setattr(lattice2d, "_reduce_raw", counted)
+        got = list(_reduce_slopes_raw(13, [7]))
+        monkeypatch.undo()
+        assert len(got) == len(calls) == 1
+        (ax, ay, bx, by), = got
+        s = SlopeClass(13, 7)
+        assert contains(s, V(ax, ay)) and contains(s, V(bx, by))
+        assert abs(ax * by - ay * bx) == 13
+        na, nb = ax * ax + ay * ay, bx * bx + by * by
+        assert 2 * abs(ax * bx + ay * by) <= na <= nb
+        row = _fast_solution_raw(13, ax, ay, bx, by)
+        assert row == _fast_solution_raw(13, *_reduce_slope_raw(13, 7)) == (True, (6, 2, 1, 1))
 
 
 class TestBasisPredicates:
