@@ -30,7 +30,6 @@ from .lattice2d import (
     IVec2,
     LatticeBasis,
     SlopeClass,
-    _reduce_slope_raw,
     _reduce_slopes_raw,
     lambda_mu,
     minimal_vector,
@@ -139,7 +138,8 @@ def check_color(p: int) -> str | None:
         black.append(pair[0])
     if _windmill_pair_raw(*next(bases)) is not None:
         return f"p={p}, mu={p - 1}: unexpected windmill basis"
-    if _windmill_pair_raw(*_reduce_slope_raw(p, None)) is not None:
+    # (1, 0), (0, p) is already a reduced basis of infinity's lattice
+    if _windmill_pair_raw(1, 0, 0, p) is not None:
         return f"p={p}, mu=infinity: unexpected windmill basis"
     inv = _inverses(p, p - 2)
     for mu in range(2, p - 1):

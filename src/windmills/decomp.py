@@ -6,7 +6,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .lattice2d import _reduce_slope_raw, _reduce_slopes_raw
+from .lattice2d import _reduce_slopes_raw
 from .numtheory import _inverses, _require_odd_prime, sqrt_minus_one
 from .windmill import Solution, _fast_solution_raw
 
@@ -221,7 +221,7 @@ def two_squares_grace(p: int) -> tuple[int, int]:
     if p >= _GRACE_LIMIT:
         raise ValueError("p must stay below 2**62")
     i = sqrt_minus_one(p).value
-    rx, ry, _, _ = _reduce_slope_raw(p, i)
+    rx, ry, _, _ = next(_reduce_slopes_raw(p, (i,)))
     a, b = sorted((abs(rx), abs(ry)), reverse=True)
     assert a * a + b * b == p
     return a, b

@@ -151,24 +151,6 @@ def _reduce_raw(ax: int, ay: int, bx: int, by: int) -> tuple[int, int, int, int]
         na, nb = nb, na
 
 
-def _reduce_slope_raw(p: int, mu: int | None) -> tuple[int, int, int, int]:
-    # A Lagrange-reduced basis of the slope lattice, for mu in [0, p) or None
-    # (infinity), reduced on its own: a lone slope starts here, while a sweep
-    # reduces each slope from its neighbour in _reduce_slopes_raw.  For finite
-    # mu, p = q*mu + r puts (-mu, 1) and (r, q) in the lattice
-    # x + mu*y = 0 (mod p), since r + mu*q = p, and their determinant is -p,
-    # so they are a basis of it; mu = 0 takes q, r = 0, p.  The first
-    # Lagrange round on the defining basis (p, 0), (-mu, 1) would take (p, 0)
-    # to (r, q) or next to it, so the reduction starts a round later.  Its
-    # result may differ from that of the defining basis in sign or order, but
-    # whether the lattice has a windmill pair, its color and its standard row
-    # depend on the lattice alone.
-    if mu is None:
-        return _reduce_raw(1, 0, 0, p)
-    q, r = divmod(p, mu) if mu else (0, p)
-    return _reduce_raw(-mu, 1, r, q)
-
-
 def _reduce_slopes_raw(p: int, mus: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
     # A Lagrange-reduced basis of the slope lattice of each finite mu in mus,
     # in order, with one reduction per slope.  The shear (x, y) -> (x - k*y, y)
@@ -178,7 +160,10 @@ def _reduce_slopes_raw(p: int, mus: Iterable[int]) -> Iterator[tuple[int, int, i
     # a reduced basis of slope 0's lattice, so the first slope is sheared like
     # the others.  For a small step the sheared basis is nearly reduced, and
     # the reduction takes about one round instead of three or four; any order
-    # of slopes is valid.
+    # of slopes is valid, and a single slope is a sweep of one.  A yielded
+    # basis may differ from the reduced lambda_mu in sign or order, but
+    # whether the lattice has a windmill pair, its color and its standard row
+    # depend on the lattice alone.
     ax, ay, bx, by = 0, 1, p, 0
     prev = 0
     for mu in mus:

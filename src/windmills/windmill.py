@@ -15,11 +15,11 @@ _fast_solution_raw takes a reduced basis, so the walk can hand one reduction
 to two slopes, and checks the row it slides to.  The object API sits on top:
 find_windmill_basis and all_windmill_bases reduce the caller's basis with
 lattice2d._reduce_raw, and the slope pair standard_black_basis and
-fast_solution_for_pair both take their row from _slope_row, which reduces the
-one slope lattice with lattice2d._reduce_slope_raw.  The walk reduces its
-lattices in a sweep with lattice2d._reduce_slopes_raw, each from its
-neighbour's reduced basis and the first from slope 0's; `windmills lattice`
-and its picture read the row off the reduced pair of the Voronoi data.
+fast_solution_for_pair both take their row from _slope_row.  The walk and
+_slope_row reduce their slope lattices with lattice2d._reduce_slopes_raw: the
+walk in a sweep, each from its neighbour's reduced basis and the first from
+slope 0's, and _slope_row as a sweep of one.  `windmills lattice` and its
+picture read the row off the reduced pair of the Voronoi data.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .lattice2d import (
     LatticeBasis,
     SlopeClass,
     _reduce_raw,
-    _reduce_slope_raw,
+    _reduce_slopes_raw,
 )
 
 
@@ -204,7 +204,7 @@ def _slope_row(s: SlopeClass) -> tuple[bool, tuple[int, int, int, int]]:
             f"slope {'infinity' if s.is_infinity else s.mu} of p = {s.p} carries "
             "no windmill basis; mu must lie in [2, p-2]"
         )
-    return _fast_solution_raw(s.p, *_reduce_slope_raw(s.p, s.mu))
+    return _fast_solution_raw(s.p, *next(_reduce_slopes_raw(s.p, (s.mu,))))
 
 
 def standard_black_basis(s: SlopeClass) -> Solution | None:

@@ -672,6 +672,23 @@ class TestVerify:
         monkeypatch.setattr(cli, "all_windmill_bases", no_set)
         assert cli.check_color(10007) is None
 
+    @pytest.mark.parametrize("p", [13, 101])
+    def test_color_reduces_each_finite_slope_once(self, monkeypatch, p):
+        # one reduction per finite slope, in the sweep; infinity's basis
+        # (1, 0), (0, p) is reduced already and costs none
+        real = lattice2d._reduce_raw
+        calls = []
+
+        def counted(*basis):
+            calls.append(basis)
+            return real(*basis)
+
+        monkeypatch.setattr(lattice2d, "_reduce_raw", counted)
+        monkeypatch.setattr(windmill, "_reduce_raw", counted)
+        assert cli.check_color(p) is None
+        assert len(calls) == p
+        assert real(1, 0, 0, p) == (1, 0, 0, p)
+
 
 class TestIrreducible:
     def test_count_6(self, capsys):

@@ -171,7 +171,6 @@ class TestEnumerateBruteforce:
         for module, name in (
             (lattice2d, "_reduce_raw"),
             (windmill, "_fast_solution_raw"),
-            (decomp, "_reduce_slope_raw"),
             (decomp, "_reduce_slopes_raw"),
             (decomp, "_fast_solution_raw"),
             (decomp, "_walk_rows"),

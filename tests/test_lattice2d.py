@@ -20,7 +20,6 @@ from windmills.lattice2d import (
     LatticeBasis,
     SlopeClass,
     _reduce_raw,
-    _reduce_slope_raw,
     _reduce_slopes_raw,
     contains,
     det,
@@ -181,37 +180,6 @@ class TestGaussReduce:
         assert red.u.norm2() == min_norm2(pts)
 
 
-class TestReduceSlopeRaw:
-    def test_reduced_basis_of_every_slope(self):
-        # every point of the projective line of every odd prime below 2000:
-        # the seeded start gives a reduced basis of the slope lattice, and the
-        # cone pick and the kernel give what they give on the reduced defining
-        # basis lambda_mu, the independent reference
-        def pick(*reduced):
-            # None when the lattice has no windmill pair, else whether it is black
-            pair = _windmill_pair_raw(*reduced)
-            return None if pair is None else pair[0]
-
-        for p in odd_primes(2000):
-            for mu in [*range(p), None]:
-                s = SlopeClass(p, mu)
-                ax, ay, bx, by = _reduce_slope_raw(p, mu)
-                assert contains(s, V(ax, ay)) and contains(s, V(bx, by)), (p, mu)
-                assert abs(ax * by - ay * bx) == p, (p, mu)
-                na, nb = ax * ax + ay * ay, bx * bx + by * by
-                assert 2 * abs(ax * bx + ay * by) <= na <= nb, (p, mu)
-                d = lambda_mu(s)
-                ref = _reduce_raw(d.u.x, d.u.y, d.v.x, d.v.y)
-                assert pick(ax, ay, bx, by) == pick(*ref), (p, mu)
-                if mu is not None and 2 <= mu <= p - 2:
-                    assert _fast_solution_raw(p, ax, ay, bx, by) == _fast_solution_raw(p, *ref), (p, mu)
-                    # the walk hands the swapped basis to the slope 1/mu
-                    rx, ry, sx, sy = ref
-                    assert _fast_solution_raw(p, ay, ax, by, bx) == _fast_solution_raw(
-                        p, ry, rx, sy, sx
-                    ), (p, mu)
-
-
 class TestReduceSlopesRaw:
     @staticmethod
     def pick(*reduced):
@@ -230,8 +198,9 @@ class TestReduceSlopesRaw:
         # the walk's class representatives (the least member in [2, (p-1)/2]
         # of each class {+-mu, +-1/mu}, increasing) and a shuffled order: each
         # yielded basis is a reduced basis of its own slope's lattice, the
-        # cone pick and the kernel give what they give on the slope's own
-        # reduction, and each slope costs one reduction
+        # cone pick and the kernel give what they give on _reduce_raw of
+        # lambda_mu, the independent reference, and each slope costs one
+        # reduction
         calls = []
 
         def counted(*basis):
@@ -242,9 +211,10 @@ class TestReduceSlopesRaw:
             slopes = [SlopeClass(p, mu) for mu in range(p)]
             # what the slope's own reduction gives: (pick, row, swapped row)
             refs = []
-            for mu in range(p):
-                rx, ry, sx, sy = _reduce_slope_raw(p, mu)
-                rows = self.rows(p, rx, ry, sx, sy) if 2 <= mu <= p - 2 else None
+            for s in slopes:
+                d = lambda_mu(s)
+                rx, ry, sx, sy = _reduce_raw(d.u.x, d.u.y, d.v.x, d.v.y)
+                rows = self.rows(p, rx, ry, sx, sy) if 2 <= s.mu <= p - 2 else None
                 refs.append((self.pick(rx, ry, sx, sy), rows))
             half = (p - 1) // 2
             least = [mu for mu in range(2, half + 1) if mu <= pow(mu, -1, p) <= p - mu]
@@ -269,10 +239,8 @@ class TestReduceSlopesRaw:
 
     def test_empty_and_single(self, monkeypatch):
         assert list(_reduce_slopes_raw(13, [])) == []
-        # a lone slope is sheared from slope 0's reduced basis, so its basis
-        # may differ from _reduce_slope_raw's in sign or order, but it is a
-        # reduced basis of the same lattice, from one reduction, and the
-        # kernel reads the same row off it
+        # a lone slope is a sweep of one: a reduced basis of its lattice from
+        # one reduction, and the kernel reads the slope's row off it
         calls = []
 
         def counted(*basis):
@@ -290,7 +258,7 @@ class TestReduceSlopesRaw:
         na, nb = ax * ax + ay * ay, bx * bx + by * by
         assert 2 * abs(ax * bx + ay * by) <= na <= nb
         row = _fast_solution_raw(13, ax, ay, bx, by)
-        assert row == _fast_solution_raw(13, *_reduce_slope_raw(13, 7)) == (True, (6, 2, 1, 1))
+        assert row == (True, (6, 2, 1, 1))
 
 
 class TestBasisPredicates:

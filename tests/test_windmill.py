@@ -5,6 +5,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import basis_points, bf_windmill_bases, odd_primes
+from windmills import lattice2d, windmill
+from windmills.decomp import two_squares_grace
 from windmills.lattice2d import (
     IVec2,
     LatticeBasis,
@@ -329,6 +331,33 @@ class TestFastSolutionForPair:
         for mu in (0, 1, 28):
             with pytest.raises(ValueError):
                 fast_solution_for_pair(slope(29, mu))
+
+
+class TestLoneSlope:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fast_solution_for_pair(slope(101, 7)),
+            lambda: fast_solution_for_pair(slope(101, 94)),
+            lambda: standard_black_basis(slope(101, 7)),
+            lambda: standard_black_basis(slope(101, 94)),
+            lambda: two_squares_grace(10009),
+        ],
+        ids=["pair-7", "pair-94", "standard-7", "standard-94", "two-squares"],
+    )
+    def test_one_reduction(self, monkeypatch, call):
+        # a lone slope lattice is a sweep of one, reduced once
+        real = lattice2d._reduce_raw
+        calls = []
+
+        def counted(*basis):
+            calls.append(basis)
+            return real(*basis)
+
+        monkeypatch.setattr(lattice2d, "_reduce_raw", counted)
+        monkeypatch.setattr(windmill, "_reduce_raw", counted)
+        call()
+        assert len(calls) == 1
 
 
 class TestColorStructure:
