@@ -10,8 +10,8 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import islice
-from typing import Iterator
+from itertools import chain, islice
+from typing import Iterable
 
 from .decomp import (
     _WALK_LIMIT,
@@ -53,9 +53,15 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 # 128 + SIGPIPE: what a shell reports for a process killed by a closed pipe
 _EXIT_BROKEN_PIPE = 141
-# `decompose` writes its listing this many pieces at a time: text lines, or
-# pieces of the JSON encoder's output
+# `decompose` writes its listing this many entries at a time, rows or orbits
 _PIECES_PER_WRITE = 1024
+# json.dumps(payload, indent=2)'s layout of one row, and of one orbit entry
+# around its representative row and its size
+_JSON_ROW = "    [\n      %d,\n      %d,\n      %d,\n      %d\n    ]"
+_JSON_ORBIT = (
+    '    {\n      "rep": [\n        %d,\n        %d,\n        %d,\n        %d\n      ],\n'
+    '      "size": %d\n    }'
+)
 
 
 def _bounded_int(text: str) -> int:
@@ -203,11 +209,17 @@ def run_verify(mode: str, max_n: int, jobs: int = 1) -> tuple[int, list[str]]:
 # command handlers
 
 
-def _write_pieces(pieces: Iterator[str]) -> None:
-    # write the pieces to stdout as they come, _PIECES_PER_WRITE at a time, so
-    # that no list of every piece and no string of the whole output is built
-    while batch := list(islice(pieces, _PIECES_PER_WRITE)):
-        sys.stdout.write("".join(batch))
+def _write_filled(template: str, sep: str, entries: Iterable[tuple[int, ...]]) -> None:
+    # write template % entry for each entry, sep between entries, to stdout
+    # as they come: one % fills a chunk's joined templates from its flattened
+    # numbers, so that no string per number or line, no list of every line
+    # and no string of the whole output is built
+    entries = iter(entries)
+    lead = ""
+    while chunk := list(islice(entries, _PIECES_PER_WRITE)):
+        sys.stdout.write(lead)
+        sys.stdout.write(sep.join([template] * len(chunk)) % tuple(chain.from_iterable(chunk)))
+        lead = sep
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -215,19 +227,23 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     rows, found = _checked_rows(p)
     rows.sort(reverse=True)
     orbits = _sorted_orbits(rows, found) if args.orbits else None
+    # both formats are filled by template; the JSON is json.dumps(payload,
+    # indent=2) of {"p": p, "count": len(rows), "solutions": rows, "orbits":
+    # [{"rep": rep, "size": size}, ...]}, whose lists are never empty
+    entries = None if orbits is None else ((*rep, size) for rep, size in orbits)
     if args.format == "json":
-        # json writes the row tuples as arrays
-        payload: dict = {"p": p, "count": len(rows), "solutions": rows}
-        if orbits is not None:
-            payload["orbits"] = [{"rep": rep, "size": size} for rep, size in orbits]
-        _write_pieces(json.JSONEncoder(indent=2).iterencode(payload))
-        sys.stdout.write("\n")
+        sys.stdout.write(f'{{\n  "p": {p},\n  "count": {len(rows)},\n  "solutions": [\n')
+        _write_filled(_JSON_ROW, ",\n", rows)
+        if entries is not None:
+            sys.stdout.write('\n  ],\n  "orbits": [\n')
+            _write_filled(_JSON_ORBIT, ",\n", entries)
+        sys.stdout.write("\n  ]\n}\n")
         return EXIT_OK
     sys.stdout.write(f"p = {p}\ncount = {len(rows)}\n")
-    _write_pieces(map("%d %d %d %d\n".__mod__, rows))
-    if orbits is not None:
+    _write_filled("%d %d %d %d\n", "", rows)
+    if entries is not None:
         sys.stdout.write("orbits (a b c d size):\n")
-        _write_pieces("%d %d %d %d %d\n" % (*rep, size) for rep, size in orbits)
+        _write_filled("%d %d %d %d %d\n", "", entries)
         sys.stdout.write(f"total {sum(size for _, size in orbits)}\n")
     return EXIT_OK
 
@@ -286,8 +302,17 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             f"the lattice has {bases.count} windmill bases; "
             f"lattice lists at most {_BASES_LIMIT}"
         )
+    # windmill bases exist only for mu in [2, p-2], so the kernel reads the
+    # standard row off the reduced pair without a second reduction, once for
+    # the report and the picture
+    standard = None
+    if bases is not None:
+        u, v = reduced.u, reduced.v
+        black, row = _fast_solution_raw(s.p, u.x, u.y, v.x, v.y)
+        if black:
+            standard = row
     if args.svg:
-        _write_svg(_lattice_svg(s, args.extent, data), args.svg)
+        _write_svg(_lattice_svg(s, args.extent, data, standard), args.svg)
     print(f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}")
     print(f"reduced basis: {_fmt_vec(data.vectors[0])}, {_fmt_vec(data.vectors[1])}")
     print(f"minimal vector: {_fmt_vec(minimal_vector(reduced))}")
@@ -301,13 +326,10 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             f"{_fmt_vec(e)}, {_fmt_vec(f)}" for e, f in bases.bases()
         )
         print(f"windmill bases ({bases.count}): {listed}")
-        # windmill bases exist only for mu in [2, p-2], so the kernel reads
-        # the standard row off the reduced pair without a second reduction
-        u, v = reduced.u, reduced.v
-        black, (a, b, c, d) = _fast_solution_raw(s.p, u.x, u.y, v.x, v.y)
-        if not black:
+        if standard is None:
             print(f"standard solution: none (black partner: mu = {s.p - s.mu})")
         else:
+            a, b, c, d = standard
             print(f"standard solution: ({a}, {b}, {c}, {d})   [{s.p} = {a}*{b} + {c}*{d}]")
     if args.svg:
         print(f"wrote {args.svg}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .lattice2d import IVec2, SlopeClass, VoronoiData, contains, lambda_mu, voronoi_cell
+from .lattice2d import SlopeClass, VoronoiData, lambda_mu, voronoi_cell
 from .windmill import Solution, _fast_solution_raw
 
 SCALE = 10  # pixels per lattice unit
@@ -109,12 +109,37 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
     """Lattice points in [-extent, extent]^2 with the shaded black windmill
     cones, the Voronoi cell, the reduced basis, and the standard black windmill
     basis when the slope carries one."""
-    return _lattice_svg(s, extent, voronoi_cell(lambda_mu(s)))
+    cell = voronoi_cell(lambda_mu(s))
+    standard = None
+    # windmill bases exist only for mu in [2, p-2]; the kernel reads the
+    # standard row off the reduced pair
+    if not s.is_infinity and 2 <= s.mu <= s.p - 2:
+        r, t = cell.vectors[:2]
+        black, row = _fast_solution_raw(s.p, r.x, r.y, t.x, t.y)
+        if black:
+            standard = row
+    return _lattice_svg(s, extent, cell, standard)
 
 
-def _lattice_svg(s: SlopeClass, extent: int, cell: VoronoiData) -> SvgDocument:
-    # The picture of lattice_svg, drawn from the slope lattice's Voronoi data,
-    # which the caller has already computed: the lattice is not reduced again.
+def _columns(s: SlopeClass, extent: int) -> list[tuple[int, range]]:
+    # each column x of the window [-extent, extent]^2 with the y of its
+    # lattice points, bottom to top, so that no point off the lattice is tried
+    p = s.p
+    window = range(-extent, extent + 1)
+    if s.mu == 0:
+        # x = 0 (mod p): full columns where p | x, empty ones elsewhere
+        return [(x, window if x % p == 0 else range(0)) for x in window]
+    # y = -x/mu (mod p) for a finite mu, and y = 0 (mod p) at infinity
+    k = 0 if s.is_infinity else pow(s.mu, -1, p)
+    return [(x, range(-extent + (extent - x * k) % p, extent + 1, p)) for x in window]
+
+
+def _lattice_svg(
+    s: SlopeClass, extent: int, cell: VoronoiData, standard: tuple[int, int, int, int] | None
+) -> SvgDocument:
+    # The picture of lattice_svg, drawn from the slope lattice's Voronoi data
+    # and its standard row (a, b, c, d), or None, which the caller has already
+    # computed: the lattice is not reduced and the kernel not run again.
     if s.p > _MAX_LATTICE_P:
         raise ValueError(f"lattice pictures are limited to p <= {_MAX_LATTICE_P}")
     _check_extent(extent)
@@ -151,27 +176,24 @@ def _lattice_svg(s: SlopeClass, extent: int, cell: VoronoiData) -> SvgDocument:
         f'<polygon points="{pts}" fill="none" stroke="{_CELL_EDGE}" stroke-width="1.5"/>'
     )
 
-    for x in range(-extent, extent + 1):
-        for y in range(-extent, extent + 1):
-            if contains(s, IVec2(x, y)):
-                lines.append(
-                    f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2.50" '
-                    f'fill="{_POINT_FILL}"/>'
-                )
+    # the lattice points column by column, each column stepped through its
+    # members only, so that the cost follows the points drawn, not the window
+    for x, ys in _columns(s, extent):
+        if ys:
+            cx = _fmt(px(x))
+            lines.extend(
+                f'<circle cx="{cx}" cy="{_fmt(py(y))}" r="2.50" fill="{_POINT_FILL}"/>'
+                for y in ys
+            )
 
     # the first two Voronoi vectors are the canonical reduced pair
     r, t = cell.vectors[:2]
     for w in (r, t):
         lines.append(_arrow(px(0), py(0), px(w.x), py(w.y), _REDUCED_EDGE, "arr-reduced"))
 
-    # windmill bases exist only for mu in [2, p-2]; the kernel reads the
-    # standard row off the reduced pair
-    if not s.is_infinity and 2 <= s.mu <= s.p - 2:
-        black, (a, b, c, d) = _fast_solution_raw(s.p, r.x, r.y, t.x, t.y)
-        if black:
-            for wx, wy in ((a, c), (-d, b)):
-                lines.append(
-                    _arrow(px(0), py(0), px(wx), py(wy), _STANDARD_EDGE, "arr-standard")
-                )
+    if standard is not None:
+        a, b, c, d = standard
+        for wx, wy in ((a, c), (-d, b)):
+            lines.append(_arrow(px(0), py(0), px(wx), py(wy), _STANDARD_EDGE, "arr-standard"))
 
     return SvgDocument(size, size, "\n".join(lines) + "\n")

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from goldens import GOLDEN_ORBITS
 from oracles import odd_primes
 import windmills
-from windmills import cli, decomp, lattice2d, numtheory, windmill
+from windmills import cli, decomp, lattice2d, numtheory, render, windmill
 from windmills.lattice2d import SlopeClass
 from windmills.numtheory import is_prime
 from windmills.render import lattice_svg
@@ -155,6 +155,26 @@ class TestDecompose:
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("orbits", [False, True], ids=["rows", "orbits"])
+    @pytest.mark.parametrize("p", [3, 5, 13, 101])
+    def test_json_is_the_standard_encoding(self, capsys, p, orbits):
+        # the listing is filled by template; its bytes are json.dumps's for
+        # the same payload, built here from the object API (p = 3: two rows
+        # and one orbit)
+        sols = decomp.enumerate_fast(p)
+        rows = sorted((sol.key for sol in sols), reverse=True)
+        payload: dict = {"p": p, "count": len(rows), "solutions": rows}
+        argv = ["decompose", str(p), "--format", "json"]
+        if orbits:
+            payload["orbits"] = [
+                {"rep": entry.rep.key, "size": entry.size}
+                for entry in decomp.vierergruppe_orbits(sols)
+            ]
+            argv.append("--orbits")
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_orbits_reject_a_set_not_closed_under_the_swaps(self, capsys, monkeypatch):
         # S_13 short of (13, 1, 0, 0) and (2, 6, 1, 1): the sizes of the five
@@ -351,6 +371,24 @@ class TestLattice:
                 argv += ["--svg", str(tmp_path / "lattice.svg")]
             assert run(argv, capsys)[0] == 0
         assert len(effective) == 1
+
+    def test_svg_runs_the_kernel_once(self, capsys, monkeypatch, tmp_path):
+        # the report's standard solution and the picture's standard arrows
+        # read the same row off the reduced pair
+        real = windmill._fast_solution_raw
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_fast_solution_raw", counted)
+        monkeypatch.setattr(render, "_fast_solution_raw", counted)
+        target = tmp_path / "lattice.svg"
+        code, out, _ = run(["lattice", "13", "7", "--svg", str(target)], capsys)
+        assert code == 0 and "standard solution: (" in out
+        assert target.read_text(encoding="utf-8").count('marker-end="url(#arr-standard)"') == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("extent", [1, 8])
     def test_svg_is_the_public_picture(self, capsys, tmp_path, extent):

@@ -139,6 +139,27 @@ class TestLatticeSvg:
             h.update(lattice_svg(s, 6).to_xml().encode())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_points_are_the_window_lattice_points_in_order(self, p):
+        # the columns are stepped through their members only; the circles are
+        # still exactly the window's lattice points, x-major and bottom to
+        # top, for every slope (mu = 0 has full columns where p | x) and for
+        # windows narrower and wider than p
+        for s in [*(SlopeClass(p, mu) for mu in range(p)), SlopeClass.infinity(p)]:
+            for extent in sorted({1, 2, p - 1, p, p + 1, 8}):
+                expected = [
+                    (x, y)
+                    for x in range(-extent, extent + 1)
+                    for y in range(-extent, extent + 1)
+                    if contains(s, IVec2(x, y))
+                ]
+                e = extent + 1
+                got = [
+                    (round(cx / SCALE) - e, e - round(cy / SCALE))
+                    for cx, cy in parse_svg_circles(lattice_svg(s, extent).to_xml())
+                ]
+                assert got == expected, (s, extent)
+
     def test_guards(self):
         with pytest.raises(ValueError):
             lattice_svg(SlopeClass(1009, 2), 8)  # p above the picture cap
