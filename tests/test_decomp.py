@@ -180,6 +180,23 @@ class TestEnumerateBruteforce:
             assert enumerate_bruteforce(p) == want[p], p
             assert decomp._bruteforce_rows(p) == {s.key for s in want[p]}, p
 
+    def test_one_inverse_per_row(self, monkeypatch):
+        # one inverse serves the mirror pair c, a - c, so the search takes
+        # about one inverse per hit (1.11 at both primes) where solving
+        # every c up to min(a - 1, isqrt(p - a*a)) takes 1.88
+        inverses = 0
+
+        def counted(base, exp, mod=None):
+            nonlocal inverses
+            inverses += exp == -1
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(decomp, "pow", counted, raising=False)
+        for p in (10007, 99991):
+            inverses = 0
+            hits = sum(1 for _ in decomp._bruteforce_hits(p))
+            assert hits > 0 and inverses <= 1.25 * hits, (p, inverses, hits)
+
 
 class TestEnumerateFast:
     def test_p13(self):
