@@ -9,7 +9,9 @@ p = a*b + c*d through the standard form u = (a, c), v = (-d, b).
 
 The work happens on plain integers in three layers: lattice2d Lagrange-reduces
 the basis, _windmill_pair_raw picks the windmill pair among the Voronoi
-vectors of the reduced basis, and _standard_basis_raw mirrors a white pair
+vectors of the reduced basis (on about five slopes in six the reduced pair
+itself fills two cones of one color, and the pick returns it before it forms
+the diagonal), and _standard_basis_raw mirrors a white pair
 onto a black one and slides it to the standard basis.  The per-slope kernel
 _fast_solution_raw takes a reduced basis, so the walk can hand one reduction
 to two slopes, and checks the row it slides to.  The object API sits on top:
@@ -87,6 +89,28 @@ def _windmill_pair_raw(
     # reduced pair, plus the short diagonal when it is not orthogonal) in the
     # upper half-plane and return (True, ENE, NNW) for a black pair, (False,
     # NNE, WNW) for a white one, or None.  The first vector met in a cone wins.
+    # The pair comes first in the scan, so when it already fills the two upper
+    # cones of one color it is the answer: the diagonal comes after it, and one
+    # vector cannot fill both cones of the other color.  That settles about
+    # five slopes in six without forming the diagonal.  Negating a or b swaps
+    # a - b and a + b up to sign, so the diagonal is chosen from the dot
+    # product of the normalized pair.
+    if ay < 0:
+        ax, ay = -ax, -ay
+    if by < 0:
+        bx, by = -bx, -by
+    if ax > ay > 0:
+        if 0 < -bx < by:
+            return True, (ax, ay), (bx, by)
+    elif 0 < -ax < ay:
+        if bx > by > 0:
+            return True, (bx, by), (ax, ay)
+    elif 0 < ax < ay:
+        if 0 < by < -bx:
+            return False, (ax, ay), (bx, by)
+    elif 0 < ay < -ax:
+        if 0 < bx < by:
+            return False, (bx, by), (ax, ay)
     dot = ax * bx + ay * by
     if dot > 0:
         cand = ((ax, ay), (bx, by), (ax - bx, ay - by))

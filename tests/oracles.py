@@ -100,6 +100,48 @@ def bf_windmill_bases(p: int, mu: int | None):
     return None
 
 
+def loop_windmill_pair(ax: int, ay: int, bx: int, by: int):
+    """The cone pick as one scan over the Voronoi vectors of a reduced basis.
+
+    The reduced pair, then the short diagonal when it is not orthogonal, each
+    taken into the upper half-plane; the first vector met in a cone fills it.
+    Returns (True, ENE, NNW) for a black pair, (False, NNE, WNW) for a white
+    one, or None, exactly as windmill._windmill_pair_raw does.
+    """
+    dot = ax * bx + ay * by
+    if dot > 0:
+        cand = ((ax, ay), (bx, by), (ax - bx, ay - by))
+    elif dot < 0:
+        cand = ((ax, ay), (bx, by), (ax + bx, ay + by))
+    else:
+        cand = ((ax, ay), (bx, by))
+    ene = nne = nnw = wnw = None
+    for x, y in cand:
+        if y < 0:
+            x, y = -x, -y
+        elif y == 0:
+            continue
+        if x > y:
+            if ene is None:
+                ene = (x, y)
+        elif 0 < x < y:
+            if nne is None:
+                nne = (x, y)
+        elif x < 0:
+            nx = -x
+            if nx < y:
+                if nnw is None:
+                    nnw = (x, y)
+            elif nx > y:
+                if wnw is None:
+                    wnw = (x, y)
+    if ene is not None and nnw is not None:
+        return True, ene, nnw
+    if nne is not None and wnw is not None:
+        return False, nne, wnw
+    return None
+
+
 def _clip(poly, a, b, c):
     # keep the side a*x + b*y <= c of the polygon (exact rational clipping)
     out = []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import basis_points, bf_windmill_bases, odd_primes
+from oracles import basis_points, bf_windmill_bases, loop_windmill_pair, odd_primes
 from windmills import lattice2d, windmill
 from windmills.decomp import two_squares_grace
 from windmills.lattice2d import (
@@ -12,6 +12,7 @@ from windmills.lattice2d import (
     LatticeBasis,
     SlopeClass,
     _reduce_raw,
+    _reduce_slopes_raw,
     is_basis_of_slope,
     lambda_mu,
     minimal_vector,
@@ -20,6 +21,7 @@ from windmills.windmill import (
     Color,
     Solution,
     _fast_solution_raw,
+    _windmill_pair_raw,
     all_windmill_bases,
     fast_solution_for_pair,
     find_windmill_basis,
@@ -50,6 +52,36 @@ def pair_color(e: IVec2, f: IVec2) -> Color | None:
         if 0 < u.x < u.y and 0 < v.y < -v.x:
             return Color.WHITE
     return None
+
+
+def four_forms(ax, ay, bx, by):
+    # as given, coordinates swapped, first vector negated, vectors exchanged
+    return (ax, ay, bx, by), (ay, ax, by, bx), (-ax, -ay, bx, by), (bx, by, ax, ay)
+
+
+class TestWindmillPair:
+    # The cone pick settles most slopes from the reduced pair alone; it must
+    # return exactly what the one scan over the Voronoi vectors returns.
+    def test_equals_the_scan_on_every_slope(self):
+        for p in odd_primes(2000):
+            for basis in [*_reduce_slopes_raw(p, range(p)), (1, 0, 0, p)]:
+                for form in four_forms(*basis):
+                    assert _windmill_pair_raw(*form) == loop_windmill_pair(*form), (p, form)
+
+    @given(
+        coords=st.tuples(*[st.integers(min_value=-60, max_value=60)] * 4).filter(
+            lambda c: c[0] * c[3] != c[1] * c[2]
+        )
+    )
+    # a vector on y = 0 or y = x beside one in the cone that would complete a
+    # pair with it, had the line belonged to the neighbouring cone
+    @example(coords=(1, 0, -1, 2))
+    @example(coords=(-1, 0, 1, 2))
+    @example(coords=(1, 1, -1, 2))
+    def test_equals_the_scan_on_any_basis(self, coords):
+        for basis in (coords, _reduce_raw(*coords)):
+            for form in four_forms(*basis):
+                assert _windmill_pair_raw(*form) == loop_windmill_pair(*form), form
 
 
 class TestFindWindmillBasis:
