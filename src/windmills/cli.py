@@ -11,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import chain, islice
+from math import isqrt
 from typing import Iterable
 
 from .decomp import (
@@ -77,9 +78,9 @@ def _bounded_int(text: str) -> int:
 def _odd_primes_up_to(n: int) -> list[int]:
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(n**0.5) + 1):
+    for i in range(2, isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+            sieve[i * i :: i] = bytearray(len(range(i * i, n + 1, i)))
     return [i for i in range(3, n + 1, 2) if sieve[i]]
 
 

@@ -3,6 +3,7 @@ and irreducible-matrix counting."""
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
@@ -108,34 +109,35 @@ def _walk_rows(p: int) -> Iterator[tuple[int, int, int, int]]:
     # (x, y) -> (y, x) maps the lattice of slope mu onto that of 1/mu and keeps
     # a reduced basis reduced, so one Lagrange reduction serves each class
     # {+-mu, +-1/mu}: it is done at the least member mu in [2, (p-1)/2], and
-    # the partner pair gets the swapped basis.  A class is its own partner only
-    # when mu*mu = -1 (mod p), and its row is the fixed point a == b, c == d.
-    # The least members come in increasing order, so lattice2d reduces each
-    # from the previous one's reduced basis.  The table of inverses, one int
-    # per row of S_p, is dropped once they are listed, so it is gone before
-    # the caller's rows pile up.  The limit is checked at the first row,
-    # before any slope is walked.
+    # the partner pair gets the swapped basis.  The partner is read off the
+    # class's first row: (-d, b) lies in the lattice of mu or p - mu, so
+    # +-mu = +-d/b and the partner pair is +-b/d; d*d < a*b < p, so the
+    # inverses of 1..isqrt(p) are all the walk needs.  A class is its own
+    # partner only when mu*mu = -1 (mod p), and its row is the fixed point
+    # a == b, c == d.  The slopes are read lazily off `todo` in increasing
+    # order, so each class is met first at its least member and its partner
+    # is cleared ahead of the reader: lattice2d pulls the next slope only
+    # after this loop has handled the previous row, and reduces each slope
+    # from the previous one's reduced basis.  The limit is checked at the
+    # first row, before any slope is walked.
     if p > _WALK_LIMIT:
         raise ValueError(f"the windmill walk is limited to p <= {_WALK_LIMIT}")
     yield p, 1, 0, 0
     yield 1, p, 0, 0
     half = (p - 1) // 2
-    inv = _inverses(p, half)
-    least = []
-    fixed = 0
-    for mu in range(2, half + 1):
-        # +-1/mu folded into [1, half]
-        partner = inv[mu]
-        if partner > half:
-            partner = p - partner
-        if partner >= mu:
-            least.append(mu)
-            if partner == mu:
-                fixed = mu
-    del inv
-    for mu, (ax, ay, bx, by) in zip(least, _reduce_slopes_raw(p, least)):
-        yield _fast_solution_raw(p, ax, ay, bx, by)[1]
-        if mu != fixed:
+    inv = _inverses(p, isqrt(p))
+    todo = bytearray([1]) * (half + 1)
+    todo[0] = todo[1] = 0
+    for ax, ay, bx, by in _reduce_slopes_raw(p, compress(range(half + 1), todo)):
+        row = _fast_solution_raw(p, ax, ay, bx, by)[1]
+        yield row
+        a, b, c, d = row
+        if a != b or c != d:
+            # +-b/d folded into [1, half]
+            partner = b * inv[d] % p
+            if partner > half:
+                partner = p - partner
+            todo[partner] = 0
             # the swapped basis spans the lattice of slope exactly 1/mu
             yield _fast_solution_raw(p, ay, ax, by, bx)[1]
 
@@ -167,7 +169,9 @@ def enumerate_fast(p: int) -> set[Solution]:
     member in increasing order and reduces each lattice from the previous
     one's reduced basis, sheared onto the new slope, which is nearly reduced;
     the first is sheared from the reduced basis (0, 1), (p, 0) of slope 0.
-    Limited to p <= _WALK_LIMIT.
+    Each class's first row (a, b, c, d) names its partner pair +-b/d, with
+    d <= isqrt(p), so the walk skips the partner with a table of the inverses
+    of 1..isqrt(p) only.  Limited to p <= _WALK_LIMIT.
     """
     return {Solution(a, b, c, d, p) for a, b, c, d in _checked_rows(p)[1]}
 

@@ -26,6 +26,19 @@ def odd_primes(n: int) -> list[int]:
     return [p for p in sieve_primes(n) if p > 2]
 
 
+def least_class_members(p: int) -> list[int]:
+    """The least member in [2, (p-1)/2] of each slope class {+-mu, +-1/mu}
+    modulo the odd prime p, in increasing order, from one pow(mu, -1, p) per
+    slope."""
+    half = (p - 1) // 2
+    least = []
+    for mu in range(2, half + 1):
+        partner = pow(mu, -1, p)
+        if min(partner, p - partner) >= mu:
+            least.append(mu)
+    return least
+
+
 def trial_is_prime(n: int) -> bool:
     if n < 2:
         return False

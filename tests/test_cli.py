@@ -444,6 +444,11 @@ class TestVerify:
         assert code == 0
         assert "all pass" in out
 
+    def test_sweep_primes_equal_the_sieve_oracle(self):
+        # every bound up to 60 (squares and their neighbours included), then 10^5
+        for n in list(range(1, 61)) + [10**5]:
+            assert cli._odd_primes_up_to(n) == odd_primes(n), n
+
     def test_parallel_matches_serial(self, capsys):
         _, serial, _ = run(["verify", "--max-p", "120", "--mode", "oracle"], capsys)
         _, parallel, _ = run(

@@ -1,3 +1,4 @@
+import hashlib
 from math import isqrt
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import GOLDEN_ORBITS, GOLDEN_TOTALS
-from oracles import odd_primes
-from windmills import decomp, lattice2d, windmill
+from oracles import least_class_members, odd_primes
+from windmills import decomp, lattice2d, numtheory, windmill
 from windmills.decomp import (
     IrreducibleMatrix,
     OrbitEntry,
@@ -235,6 +236,43 @@ class TestWalkRows:
         rows = list(decomp._walk_rows(p))
         assert len(rows) == len(set(rows)) == (p + 1) // 2
         assert set(rows) == _per_slope_rows(p)
+
+    def test_reduces_the_least_class_members_with_small_inverses(self, monkeypatch):
+        # the slopes the walk hands decomp's _reduce_slopes_raw binding, in
+        # the order it pulls them, and the sizes of the inverse tables it asks for
+        slopes, sizes = [], []
+
+        def tapped(mus):
+            for mu in mus:
+                slopes.append(mu)
+                yield mu
+
+        def inverses(q, n):
+            sizes.append(n)
+            return numtheory._inverses(q, n)
+
+        monkeypatch.setattr(
+            decomp, "_reduce_slopes_raw", lambda q, mus: lattice2d._reduce_slopes_raw(q, tapped(mus))
+        )
+        monkeypatch.setattr(decomp, "_inverses", inverses)
+        for p in odd_primes(3000) + [99989, 99991]:
+            slopes.clear()
+            sizes.clear()
+            assert len(list(decomp._walk_rows(p))) == (p + 1) // 2, p
+            assert slopes == least_class_members(p), p
+            assert sizes == [isqrt(p)], p
+
+    @pytest.mark.parametrize(
+        "p,digest",
+        [
+            (99989, "17eb0d290f8164bf5b65a600cc565f49723c3080bffa69005fdfe41d6fb0760e"),
+            (99991, "6ae76c14cb22383647ece90c530689de0eb495ee1e4c11111fedd922446b3a1b"),
+        ],
+        ids=["99989", "99991"],
+    )
+    def test_rows_in_walk_order_are_pinned(self, p, digest):
+        listing = "".join("%d %d %d %d\n" % row for row in decomp._walk_rows(p))
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("p", [101, 103])
     def test_one_kernel_call_per_pair_and_one_reduction_per_class(self, p, monkeypatch):
