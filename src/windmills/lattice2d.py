@@ -81,8 +81,10 @@ class SlopeClass:
     mu: int | None
 
     def __post_init__(self) -> None:
+        # numtheory._require_odd_prime's test and words, inline, so that
+        # is_prime is reached through this module's binding
         if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+            raise ValueError(f"expected an odd prime, got {self.p}")
         if self.mu is not None and not 0 <= self.mu < self.p:
             raise ValueError(f"mu must lie in [0, {self.p}), got {self.mu}")
 
@@ -270,14 +272,6 @@ def _voronoi_vectors_raw(b: LatticeBasis) -> tuple[list[IVec2], list[tuple[int, 
     return vecs, [(rx, ry), (rx + sx, ry + sy), (sx, sy)]
 
 
-def _edge_intersection(w1: tuple[int, int], w2: tuple[int, int]) -> Vertex:
-    # Intersection of the two edge lines 2<x, w> = <w, w>.
-    (x1, y1), (x2, y2) = w1, w2
-    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
-    d = 2 * (x1 * y2 - y1 * x2)
-    return (Fraction(n1 * y2 - n2 * y1, d), Fraction(n2 * x1 - n1 * x2, d))
-
-
 def voronoi_cell(b: LatticeBasis) -> VoronoiData:
     """Voronoi vectors and the exact Voronoi cell of the origin.
 
@@ -286,17 +280,29 @@ def voronoi_cell(b: LatticeBasis) -> VoronoiData:
     bounded by 2<x, w> <= <w, w> over them.
     """
     vecs, half = _voronoi_vectors_raw(b)
-    # one vertex between each two consecutive normals; the cell is symmetric
-    # about the origin, so the vertices past -r are the first ones negated
+    # one vertex between each two consecutive normals w1, w2, where the edge
+    # lines 2<x, w> = <w, w> meet: (nx, ny) / den with den = 2 cross(w1, w2).
+    # Each consecutive pair turns by cross(r, s) > 0, so den is the same
+    # positive integer for every vertex.  The cell is symmetric about the
+    # origin, so the vertices past -r are the first ones negated.
     rx, ry = half[0]
-    first = [_edge_intersection(w1, w2) for w1, w2 in zip(half, half[1:] + [(-rx, -ry)])]
-    verts = first + [(-x, -y) for x, y in first]
+    first = []
+    for (x1, y1), (x2, y2) in zip(half, half[1:] + [(-rx, -ry)]):
+        n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+        first.append((n1 * y2 - n2 * y1, n2 * x1 - n1 * x2))
+    verts = first + [(-nx, -ny) for nx, ny in first]
+    sx, sy = half[-1]
+    den = 2 * (rx * sy - ry * sx)
     # the vertices in the upper half-plane form one contiguous run; start from
-    # its last one, the vertex with the largest polar angle below pi
-    upper = [y > 0 or (y == 0 and x > 0) for x, y in verts]
+    # its last one, the vertex with the largest polar angle below pi, read
+    # off the numerators' signs since den > 0
+    upper = [ny > 0 or (ny == 0 and nx > 0) for nx, ny in verts]
     k = len(verts)
     start = next(i for i in range(k) if upper[i] and not upper[(i + 1) % k])
-    return VoronoiData(tuple(vecs), tuple(verts[start:] + verts[:start]))
+    cell = tuple(
+        (Fraction(nx, den), Fraction(ny, den)) for nx, ny in verts[start:] + verts[:start]
+    )
+    return VoronoiData(tuple(vecs), cell)
 
 
 def interlaced(f1: IVec2, f2: IVec2, g1: IVec2, g2: IVec2) -> bool:

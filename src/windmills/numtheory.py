@@ -4,9 +4,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Witnesses proving deterministic Miller-Rabin for all n < 3_317_044_064_679_887_385_961_981,
-# which comfortably covers the unsigned 64-bit range accepted by is_prime.
+# The first twelve prime bases, and psi_k: the least odd composite that
+# passes strong-probable-prime tests to each of the first k of them (OEIS
+# A014233; Jaeschke 1993, Math. Comp. 61, for k <= 8; Jiang and Deng 2014,
+# Math. Comp. 83, for k <= 11; Sorenson and Webster 2017, Math. Comp. 86, for
+# k = 12).  The first k rounds of Miller-Rabin decide every n < psi_k, so the
+# twelve rounds are deterministic below psi_12 = 318_665_857_834_031_151_167_461,
+# which covers the unsigned 64-bit range accepted by is_prime.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+)
 
 _WILSON_LIMIT = 100_000
 
@@ -37,16 +56,18 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = ((d & -d).bit_length()) - 1
     d >>= r
-    for a in _MR_WITNESSES:
+    # one round per base, stopping once the bases so far decide n
+    for a, psi in zip(_MR_WITNESSES, _MR_PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 

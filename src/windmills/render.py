@@ -146,11 +146,13 @@ def _lattice_svg(
     e = extent + 1  # canvas half-width in lattice units, one unit of margin
     size = 2 * e * SCALE
 
-    def px(x: float | Fraction) -> float:
-        return float(x + e) * SCALE
+    # one correctly rounded division of integers per coordinate, the one that
+    # float(x + e) makes, with no Fraction built for the sum
+    def px(x: int | Fraction) -> float:
+        return (x.numerator + e * x.denominator) / x.denominator * SCALE
 
-    def py(y: float | Fraction) -> float:
-        return float(e - y) * SCALE
+    def py(y: int | Fraction) -> float:
+        return (e * y.denominator - y.numerator) / y.denominator * SCALE
 
     lines = [
         "<defs>"
@@ -161,14 +163,18 @@ def _lattice_svg(
         "</defs>"
     ]
 
-    # the four black windmill cones, clipped to the canvas
+    # the four black windmill cones, clipped to the canvas: their corners
+    # take only the canvas values 0, e*SCALE and 2e*SCALE, formatted once
+    lo, mid, hi = _fmt(0), _fmt(e * SCALE), _fmt(2 * e * SCALE)
+    cx = {-e: lo, 0: mid, e: hi}
+    cy = {-e: hi, 0: mid, e: lo}
     for tri in (
         ((0, 0), (e, 0), (e, e)),
         ((0, 0), (0, e), (-e, e)),
         ((0, 0), (-e, 0), (-e, -e)),
         ((0, 0), (0, -e), (e, -e)),
     ):
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in tri)
+        pts = " ".join(f"{cx[x]},{cy[y]}" for x, y in tri)
         lines.append(f'<polygon points="{pts}" fill="{_CONE_FILL}"/>')
 
     pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in cell.cell_vertices)

@@ -184,6 +184,35 @@ def bf_voronoi_cell(points: list[tuple[int, int]], box: int):
     return set(poly)
 
 
+def _edge_intersection(w1: tuple[int, int], w2: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    # Intersection of the two edge lines 2<x, w> = <w, w>.
+    (x1, y1), (x2, y2) = w1, w2
+    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    d = 2 * (x1 * y2 - y1 * x2)
+    return (Fraction(n1 * y2 - n2 * y1, d), Fraction(n2 * x1 - n1 * x2, d))
+
+
+def fraction_voronoi_vertices(half: list[tuple[int, int]]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The Voronoi cell's vertices from its edge normals, ordered on Fractions.
+
+    half lists the normals from r to s counterclockwise, as
+    lattice2d._voronoi_vectors_raw returns them.  Every vertex is built as a
+    Fraction pair, then the list is turned to start from the vertex of largest
+    polar angle below pi, read off the Fractions' signs.
+    """
+    # one vertex between each two consecutive normals; the cell is symmetric
+    # about the origin, so the vertices past -r are the first ones negated
+    rx, ry = half[0]
+    first = [_edge_intersection(w1, w2) for w1, w2 in zip(half, half[1:] + [(-rx, -ry)])]
+    verts = first + [(-x, -y) for x, y in first]
+    # the vertices in the upper half-plane form one contiguous run; start from
+    # its last one, the vertex with the largest polar angle below pi
+    upper = [y > 0 or (y == 0 and x > 0) for x, y in verts]
+    k = len(verts)
+    start = next(i for i in range(k) if upper[i] and not upper[(i + 1) % k])
+    return tuple(verts[start:] + verts[:start])
+
+
 def shoelace_area2(vertices) -> Fraction:
     """Twice the signed polygon area."""
     total = Fraction(0)

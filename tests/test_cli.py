@@ -295,6 +295,12 @@ class TestLattice:
         assert code == 0
         assert "no windmill basis" in out
 
+    @pytest.mark.parametrize("p,mu", [("2", "1"), ("15", "2")])
+    def test_rejects_non_prime_in_the_words_of_every_command(self, capsys, p, mu):
+        code, out, err = run(["lattice", p, mu], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: expected an odd prime, got {p}\n"
+
     def test_rejects_invalid_mu(self, capsys):
         code, _, err = run(["lattice", "13", "13"], capsys)
         assert code == 2

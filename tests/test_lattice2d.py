@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     basis_points,
     bf_voronoi_cell,
+    fraction_voronoi_vertices,
     min_norm2,
     odd_primes,
     shoelace_area2,
@@ -21,6 +22,7 @@ from windmills.lattice2d import (
     SlopeClass,
     _reduce_raw,
     _reduce_slopes_raw,
+    _voronoi_vectors_raw,
     contains,
     det,
     gauss_reduce,
@@ -450,6 +452,27 @@ class TestVoronoi:
             if x * x + y * y <= n
         ]
         assert set(verts) == bf_voronoi_cell(pts, bound)
+
+    def test_cell_equals_the_fraction_oracle_on_every_slope(self):
+        # the cell is ordered on integer numerators over one positive
+        # denominator; the oracle builds and orders Fractions
+        for p in odd_primes(200):
+            for mu in [*range(p), None]:
+                b = lambda_mu(SlopeClass(p, mu))
+                expected = fraction_voronoi_vertices(_voronoi_vectors_raw(b)[1])
+                assert voronoi_cell(b).cell_vertices == expected, (p, mu)
+
+    @given(
+        st.tuples(*[st.integers(min_value=-60, max_value=60)] * 4).filter(
+            lambda t: t[0] * t[3] != t[1] * t[2]
+        )
+    )
+    @settings(max_examples=300)
+    def test_cell_equals_the_fraction_oracle_on_general_bases(self, t):
+        raw = basis(*t)
+        for b in (raw, gauss_reduce(raw)):
+            expected = fraction_voronoi_vertices(_voronoi_vectors_raw(b)[1])
+            assert voronoi_cell(b).cell_vertices == expected
 
     @given(small_bases())
     @settings(max_examples=100)

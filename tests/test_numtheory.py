@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oracles import odd_primes, sieve_primes, trial_is_prime
+from windmills import numtheory
 from windmills.numtheory import (
     Residue,
     _inverses,
@@ -11,6 +12,20 @@ from windmills.numtheory import (
     sqrt_minus_one,
     wilson_sqrt_minus_one_oracle,
 )
+
+
+def count_rounds(monkeypatch):
+    # each Miller-Rabin round of is_prime takes one pow; the returned
+    # function reads how many were taken so far
+    calls = 0
+
+    def counted(base, exp, mod=None):
+        nonlocal calls
+        calls += 1
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(numtheory, "pow", counted, raising=False)
+    return lambda: calls
 
 
 class TestResidue:
@@ -38,12 +53,59 @@ class TestIsPrime:
         for n in range(4000):
             assert is_prime(n) == trial_is_prime(n), n
 
+    # psi_k, the least strong pseudoprime to the first k prime bases: each
+    # distinct value below 2**64 with the k that share it, as a product of
+    # its prime factors, and the primes just below and just above it
+    PSI = [
+        ((1,), 23 * 89, 2039, 2053),
+        ((2,), 829 * 1657, 1373639, 1373677),
+        ((3,), 2251 * 11251, 25325981, 25326023),
+        ((4,), 151 * 751 * 28351, 3215031749, 3215031767),
+        ((5,), 6763 * 10627 * 29947, 2152302898729, 2152302898771),
+        ((6,), 1303 * 16927 * 157543, 3474749660329, 3474749660401),
+        ((7, 8), 10670053 * 32010157, 341550071728289, 341550071728361),
+        ((9, 10, 11), 149491 * 747451 * 34233211, 3825123056546412979, 3825123056546413057),
+    ]
+
     def test_strong_pseudoprimes(self):
         # composites that fool single-base Miller-Rabin tests
         assert not is_prime(2047)  # 23 * 89, strong pseudoprime base 2
         assert not is_prime(3215031751)  # strong pseudoprime bases 2, 3, 5, 7
         assert not is_prime(341550071728321)
         assert not is_prime(561)  # Carmichael
+
+    @pytest.mark.parametrize("ks,psi,below,above", PSI)
+    def test_psi_and_its_prime_neighbours(self, monkeypatch, ks, psi, below, above):
+        # psi_k passes the first k rounds, so a later round must run and
+        # catch it: at psi_9 only base 37, the last witness, does
+        assert all(numtheory._MR_PSI[k - 1] == psi for k in ks)
+        rounds = count_rounds(monkeypatch)
+        assert not is_prime(psi)
+        # psi_1 = 23 * 89 falls to the division by the bases, before any round
+        assert rounds() > ks[-1] or psi == 2047
+        assert is_prime(below) and is_prime(above)
+
+    @pytest.mark.parametrize(
+        "n,rounds",
+        [
+            (601, 1),  # < psi_1
+            (99991, 2),  # < psi_2
+            (2053, 2),  # just above psi_1
+            (3825123056546412979, 9),  # just below psi_9
+            (3825123056546413057, 12),  # just above psi_11
+            (2**61 - 1, 9),
+            (2**64 - 59, 12),
+        ],
+    )
+    def test_stops_after_the_deciding_round(self, monkeypatch, n, rounds):
+        # a prime below psi_k takes the first k rounds and no more
+        counted = count_rounds(monkeypatch)
+        assert is_prime(n)
+        assert counted() == rounds
+
+    def test_matches_the_sieve_below_200000(self):
+        primes = set(sieve_primes(2 * 10**5 - 1))
+        assert [n for n in range(2 * 10**5) if is_prime(n) != (n in primes)] == []
 
     def test_large_values(self):
         assert is_prime(2**61 - 1)  # Mersenne prime
