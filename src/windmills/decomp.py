@@ -265,14 +265,23 @@ def _irreducible_rows(n: int) -> list[tuple[int, int, int, int]]:
     for m in range((n - 1) // 2 + 1):
         for a in range(m + 1, isqrt(n + m * m) + 1):
             g = gcd(m, a)
-            if n % g:
+            if g == 1:
+                # the step a exceeds m, so the least k >= 0 is the only one
+                # that can be <= m; it is a row when d = (n + m*k)/a >= a
+                k = -n * pow(m, -1, a) % a
+                if k > m or m * k < a * a - n:
+                    continue
+                ks = (k,)
+            elif n % g:
                 continue
-            step = a // g
-            k0 = -(n // g) * pow(m // g, -1, step)
-            # least k >= max(0, (a*a - n)/m) with k = k0 (mod step), so that
-            # d = (n + m*k)/a >= a; a*a <= n whenever m = 0
-            low = (a * a - n + m - 1) // m if a * a > n else 0
-            for k in range(low + (k0 - low) % step, m + 1, step):
+            else:
+                step = a // g
+                k0 = -(n // g) * pow(m // g, -1, step)
+                # least k >= max(0, (a*a - n)/m) with k = k0 (mod step), so
+                # that d >= a; a*a <= n whenever m = 0
+                low = (a * a - n + m - 1) // m if a * a > n else 0
+                ks = range(low + (k0 - low) % step, m + 1, step)
+            for k in ks:
                 d = (n + m * k) // a
                 offs = ((m, k), (k, m)) if k != m else ((m, m),)
                 for b, c in offs:
@@ -295,7 +304,9 @@ def irreducible_enumerate(n: int) -> list[IrreducibleMatrix]:
     n + m*k exactly when m*k = -n (mod a).  With g = gcd(m, a) that has no
     solution unless g divides n, and otherwise k = -(n/g) * (m/g)**-1
     (mod a/g).  d >= a means m*k >= a*a - n, so k steps by a/g from the
-    least such value up to m.  At m = 0 that leaves g = a and k = 0: the
+    least such value up to m.  Most pairs are coprime, and then the step a
+    exceeds m: the one candidate is k = -n * m**-1 mod a, a row exactly when
+    k <= m and m*k >= a*a - n.  At m = 0 that leaves g = a and k = 0: the
     divisor pairs of n.  That is one gcd and at most one modular inverse per
     pair (m, a), instead of trial division for every pair (m, k).
     Independent of the divisor sum in irreducible_count.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from math import gcd, isqrt
 
 
 def sieve_primes(n: int) -> list[int]:
@@ -305,3 +306,28 @@ def assert_tiling_invariance(svg_text: str, sol, extent: int, scale: int = 10) -
                     assert (x + gx, y + gy) in positions
                     checked += 1
     assert checked > 0, "no interior tiles were exercised"
+
+
+def loop_irreducible_rows(n: int) -> list[tuple[int, int, int, int]]:
+    """The matrix congruence search with a stepped range of k for every pair
+    (m, a), coprime or not, in the order decomp._irreducible_rows emits its
+    rows."""
+    rows = []
+    for m in range((n - 1) // 2 + 1):
+        for a in range(m + 1, isqrt(n + m * m) + 1):
+            g = gcd(m, a)
+            if n % g:
+                continue
+            step = a // g
+            k0 = -(n // g) * pow(m // g, -1, step)
+            # least k >= max(0, (a*a - n)/m) with k = k0 (mod step), so that
+            # d = (n + m*k)/a >= a; a*a <= n whenever m = 0
+            low = (a * a - n + m - 1) // m if a * a > n else 0
+            for k in range(low + (k0 - low) % step, m + 1, step):
+                d = (n + m * k) // a
+                offs = ((m, k), (k, m)) if k != m else ((m, m),)
+                for b, c in offs:
+                    rows.append((a, b, c, d))
+                    if a != d:
+                        rows.append((d, b, c, a))
+    return rows

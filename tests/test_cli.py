@@ -149,6 +149,14 @@ class TestDecompose:
                 ["decompose", "99991", "--orbits"],
                 "64ee782423c68a431bbe7dacd2bb72262abac9ea6776f3cf78e681cf7ef5d4e9",
             ),
+            (
+                ["irreducible", "9973", "--list"],
+                "f32b4662f4acc11e5bc589ba4fb28061508494042a21359c915495069ac7ccef",
+            ),
+            (
+                ["irreducible", "10000", "--list"],
+                "a47259721b7c6e5513c4f6f874f6c038c3af395f831ee39f952eb9fd1b1be094",
+            ),
         ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import GOLDEN_ORBITS, GOLDEN_TOTALS
-from oracles import least_class_members, odd_primes
+from oracles import least_class_members, loop_irreducible_rows, odd_primes
 from windmills import decomp, lattice2d, numtheory, windmill
 from windmills.decomp import (
     IrreducibleMatrix,
@@ -83,6 +83,10 @@ def _four_solution_orbits(sols: set[Solution]) -> list[OrbitEntry]:
 
 def _refuse_walk(*args):
     raise AssertionError("a refused input must not start the walk")
+
+
+# m*m and m*(m-1) make (m*m - n) % m == 0, the edge of the k bound
+_K_BOUNDARY = {m * m for m in range(1, 41)} | {m * (m - 1) for m in range(2, 41)}
 
 
 def _full_square_irreducible(n: int) -> list[IrreducibleMatrix]:
@@ -500,9 +504,7 @@ class TestIrreducible:
                 assert m.is_valid()
 
     def test_equals_full_square_scan(self):
-        # m*m and m*(m-1) make (m*m - n) % m == 0, the edge of the k bound
-        boundary = {m * m for m in range(1, 41)} | {m * (m - 1) for m in range(2, 41)}
-        ns = sorted(set(range(1, 1201)) | boundary | {1968, 2000})
+        ns = sorted(set(range(1, 1201)) | _K_BOUNDARY | {1968, 2000})
         # one scan per window of 200 n; a window bounds the buckets held at once
         for i in range(0, len(ns), 200):
             window = ns[i : i + 200]
@@ -513,6 +515,12 @@ class TestIrreducible:
     @pytest.mark.parametrize("n", [4000, 9973, 10000])
     def test_equals_full_square_scan_large(self, n):
         assert irreducible_enumerate(n) == _full_square_irreducible(n)
+
+    def test_rows_equal_the_stepped_loop_in_order(self):
+        # one candidate k for a coprime (m, a) against the stepped range of k
+        # for every pair: the same rows, emitted in the same order
+        for n in sorted(set(range(1, 1501)) | _K_BOUNDARY | {4000, 9973, 10000}):
+            assert decomp._irreducible_rows(n) == loop_irreducible_rows(n), n
 
     def test_guards(self):
         with pytest.raises(ValueError):
