@@ -23,7 +23,6 @@ from .decomp import (
     _sorted_orbits,
     _walk_rows,
     irreducible_count,
-    irreducible_enumerate,
     two_squares_fixed_point,
     two_squares_grace,
 )
@@ -32,15 +31,12 @@ from .lattice2d import (
     LatticeBasis,
     SlopeClass,
     _reduce_slopes_raw,
-    lambda_mu,
     minimal_vector,
-    voronoi_cell,
 )
 from .numtheory import _inverses, _require_odd_prime
-from .render import SvgDocument, _check_extent, _lattice_svg, tiling_svg
+from .render import SvgDocument, _check_extent, _lattice_svg, _slope_view, tiling_svg
 from .windmill import (
     Solution,
-    _fast_solution_raw,
     _windmill_pair_raw,
     all_windmill_bases,
 )
@@ -289,10 +285,11 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     _check_extent(args.extent)
     s = SlopeClass(args.p, args.mu)
     # the first two Voronoi vectors are the canonical reduced pair: the
-    # defining basis is reduced once here, all_windmill_bases and
-    # minimal_vector get a basis that their own reduction returns unchanged,
-    # and the standard solution and the picture are read off it
-    data = voronoi_cell(lambda_mu(s))
+    # defining basis is reduced once, in the slope view that also reads the
+    # standard row off it for the report and the picture, and
+    # all_windmill_bases and minimal_vector get a basis that their own
+    # reduction returns unchanged
+    data, standard = _slope_view(s)
     reduced = LatticeBasis(data.vectors[0], data.vectors[1])
     # check the listing cap, then render and write, before printing, so that
     # a refused input, a picture out of range or an unwritable path fails
@@ -303,15 +300,6 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             f"the lattice has {bases.count} windmill bases; "
             f"lattice lists at most {_BASES_LIMIT}"
         )
-    # windmill bases exist only for mu in [2, p-2], so the kernel reads the
-    # standard row off the reduced pair without a second reduction, once for
-    # the report and the picture
-    standard = None
-    if bases is not None:
-        u, v = reduced.u, reduced.v
-        black, row = _fast_solution_raw(s.p, u.x, u.y, v.x, v.y)
-        if black:
-            standard = row
     if args.svg:
         _write_svg(_lattice_svg(s, args.extent, data, standard), args.svg)
     print(f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}")
@@ -363,10 +351,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_irreducible(args: argparse.Namespace) -> int:
     count = irreducible_count(args.n)
     # enumerate before printing, so that a refused listing prints nothing
-    listed = irreducible_enumerate(args.n) if args.list else []
+    listed = sorted(_irreducible_rows(args.n)) if args.list else []
     print(count)
-    for m in listed:
-        print(f"{m.a} {m.b} {m.c} {m.d}")
+    _write_filled("%d %d %d %d\n", "", listed)
     return EXIT_OK
 
 

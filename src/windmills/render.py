@@ -109,16 +109,20 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
     """Lattice points in [-extent, extent]^2 with the shaded black windmill
     cones, the Voronoi cell, the reduced basis, and the standard black windmill
     basis when the slope carries one."""
+    return _lattice_svg(s, extent, *_slope_view(s))
+
+
+def _slope_view(s: SlopeClass) -> tuple[VoronoiData, tuple[int, int, int, int] | None]:
+    # The slope lattice's Voronoi data and its standard row (a, b, c, d) when
+    # the slope is black, else None.  Windmill bases exist only for mu in
+    # [2, p-2], and the kernel reads the row off the reduced pair, the first
+    # two Voronoi vectors, so the lattice is reduced once.
     cell = voronoi_cell(lambda_mu(s))
-    standard = None
-    # windmill bases exist only for mu in [2, p-2]; the kernel reads the
-    # standard row off the reduced pair
-    if not s.is_infinity and 2 <= s.mu <= s.p - 2:
-        r, t = cell.vectors[:2]
-        black, row = _fast_solution_raw(s.p, r.x, r.y, t.x, t.y)
-        if black:
-            standard = row
-    return _lattice_svg(s, extent, cell, standard)
+    if s.is_infinity or not 2 <= s.mu <= s.p - 2:
+        return cell, None
+    r, t = cell.vectors[:2]
+    black, row = _fast_solution_raw(s.p, r.x, r.y, t.x, t.y)
+    return cell, row if black else None
 
 
 def _columns(s: SlopeClass, extent: int) -> list[tuple[int, range]]:

@@ -9,12 +9,13 @@ p = a*b + c*d through the standard form u = (a, c), v = (-d, b).
 
 The work happens on plain integers in three layers: lattice2d Lagrange-reduces
 the basis, _windmill_pair_raw picks the windmill pair among the Voronoi
-vectors of the reduced basis (on about five slopes in six the reduced pair
-itself fills two cones of one color, and the pick returns it before it forms
-the diagonal), and _standard_basis_raw mirrors a white pair
-onto a black one and slides it to the standard basis.  The per-slope kernel
-_fast_solution_raw takes a reduced basis, so the walk can hand one reduction
-to two slopes, and checks the row it slides to.  The object API sits on top:
+vectors of the reduced basis, and _standard_basis_raw mirrors a white pair
+onto a black one and slides it to the standard basis.  The pick asks one cone
+test, _cone_pair, of at most three pairs: the reduced pair, which fills two
+cones of one color on about five slopes in six, then the short diagonal with
+each vector of the reduced pair.  The per-slope kernel _fast_solution_raw
+takes a reduced basis, so the walk can hand one reduction to two slopes, and
+checks the row it slides to.  The object API sits on top:
 find_windmill_basis and all_windmill_bases reduce the caller's basis with
 lattice2d._reduce_raw, and the slope pair standard_black_basis and
 fast_solution_for_pair both take their row from _slope_row.  The walk and
@@ -82,23 +83,14 @@ class WindmillBasisSet:
         return [(self.m, self.f + s * self.m) for s in range(self.count)]
 
 
-def _windmill_pair_raw(
+def _cone_pair(
     ax: int, ay: int, bx: int, by: int
 ) -> tuple[bool, tuple[int, int], tuple[int, int]] | None:
-    # The cone pick on a Lagrange-reduced basis: scan the Voronoi vectors (the
-    # reduced pair, plus the short diagonal when it is not orthogonal) in the
-    # upper half-plane and return (True, ENE, NNW) for a black pair, (False,
-    # NNE, WNW) for a white one, or None.  The first vector met in a cone wins.
-    # The pair comes first in the scan, so when it already fills the two upper
-    # cones of one color it is the answer: the diagonal comes after it, and one
-    # vector cannot fill both cones of the other color.  That settles about
-    # five slopes in six without forming the diagonal.  Negating a or b swaps
-    # a - b and a + b up to sign, so the diagonal is chosen from the dot
-    # product of the normalized pair.
-    if ay < 0:
-        ax, ay = -ax, -ay
-    if by < 0:
-        bx, by = -bx, -by
+    # The one cone test, on two vectors of the upper half-plane: (True, ENE,
+    # NNW) when they fill the two upper black cones, (False, NNE, WNW) when
+    # they fill the two upper white ones, in cone order whatever the order of
+    # the arguments, and None otherwise.  A vector on one of the four lines
+    # lies in no cone.
     if ax > ay > 0:
         if 0 < -bx < by:
             return True, (ax, ay), (bx, by)
@@ -111,38 +103,39 @@ def _windmill_pair_raw(
     elif 0 < ay < -ax:
         if 0 < bx < by:
             return False, (bx, by), (ax, ay)
-    dot = ax * bx + ay * by
-    if dot > 0:
-        cand = ((ax, ay), (bx, by), (ax - bx, ay - by))
-    elif dot < 0:
-        cand = ((ax, ay), (bx, by), (ax + bx, ay + by))
-    else:
-        cand = ((ax, ay), (bx, by))
-    ene = nne = nnw = wnw = None
-    for x, y in cand:
-        if y < 0:
-            x, y = -x, -y
-        elif y == 0:
-            continue
-        if x > y:
-            if ene is None:
-                ene = (x, y)
-        elif 0 < x < y:
-            if nne is None:
-                nne = (x, y)
-        elif x < 0:
-            nx = -x
-            if nx < y:
-                if nnw is None:
-                    nnw = (x, y)
-            elif nx > y:
-                if wnw is None:
-                    wnw = (x, y)
-    if ene is not None and nnw is not None:
-        return True, ene, nnw
-    if nne is not None and wnw is not None:
-        return False, nne, wnw
     return None
+
+
+def _windmill_pair_raw(
+    ax: int, ay: int, bx: int, by: int
+) -> tuple[bool, tuple[int, int], tuple[int, int]] | None:
+    # The cone pick on a Lagrange-reduced basis: the windmill pair among its
+    # Voronoi vectors, (True, ENE, NNW) for a black pair, (False, NNE, WNW)
+    # for a white one, or None.  The reduced pair, taken into the upper
+    # half-plane, is the answer when it fills two cones of one color; that
+    # settles about five slopes in six.  Otherwise a pair needs the short
+    # diagonal w, which is no Voronoi vector of an orthogonal pair.  Negating a
+    # or b swaps a - b and a + b up to sign, so w is chosen from the dot
+    # product of the normalized pair.  w pairs with the first of a, b that
+    # lies in its partner cone: had a or b held w's own cone, the other would
+    # have completed the reduced pair.
+    if ay < 0:
+        ax, ay = -ax, -ay
+    if by < 0:
+        bx, by = -bx, -by
+    pair = _cone_pair(ax, ay, bx, by)
+    if pair is not None:
+        return pair
+    dot = ax * bx + ay * by
+    if dot == 0:
+        return None
+    if dot > 0:
+        wx, wy = ax - bx, ay - by
+    else:
+        wx, wy = ax + bx, ay + by
+    if wy < 0:
+        wx, wy = -wx, -wy
+    return _cone_pair(wx, wy, ax, ay) or _cone_pair(wx, wy, bx, by)
 
 
 def _standard_basis_raw(

@@ -396,7 +396,6 @@ class TestLattice:
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cli, "_fast_solution_raw", counted)
         monkeypatch.setattr(render, "_fast_solution_raw", counted)
         target = tmp_path / "lattice.svg"
         code, out, _ = run(["lattice", "13", "7", "--svg", str(target)], capsys)

@@ -22,6 +22,7 @@ WALK = {
     "_reduce_slopes_raw",
     "_fast_solution_raw",
     "_windmill_pair_raw",
+    "_cone_pair",
     "_standard_basis_raw",
     "_walk_rows",
 }

@@ -20,6 +20,7 @@ from windmills.lattice2d import (
 from windmills.windmill import (
     Color,
     Solution,
+    _cone_pair,
     _fast_solution_raw,
     _windmill_pair_raw,
     all_windmill_bases,
@@ -59,6 +60,31 @@ def four_forms(ax, ay, bx, by):
     return (ax, ay, bx, by), (ay, ax, by, bx), (-ax, -ay, bx, by), (bx, by, ax, ay)
 
 
+class TestConePair:
+    # the one cone test, on every pair from a grid of the upper half-plane
+    # with both axes and both diagonals: symmetric in its arguments, in cone
+    # order, and a pair exactly when the two vectors fill the two upper cones
+    # of one color
+    GRID = [(x, y) for x in range(-4, 5) for y in range(5)]
+
+    def test_symmetric_in_cone_order(self):
+        for u in self.GRID:
+            for v in self.GRID:
+                got = _cone_pair(*u, *v)
+                assert got == _cone_pair(*v, *u), (u, v)
+                color = pair_color(V(*u), V(*v))
+                if color is None:
+                    assert got is None, (u, v)
+                    continue
+                black, (fx, fy), (sx, sy) = got
+                assert black is (color is Color.BLACK), (u, v)
+                assert {(fx, fy), (sx, sy)} == {u, v}
+                if black:
+                    assert 0 < fy < fx and 0 < -sx < sy, (u, v)
+                else:
+                    assert 0 < fx < fy and 0 < sy < -sx, (u, v)
+
+
 class TestWindmillPair:
     # The cone pick settles most slopes from the reduced pair alone; it must
     # return exactly what the one scan over the Voronoi vectors returns.
@@ -78,6 +104,9 @@ class TestWindmillPair:
     @example(coords=(1, 0, -1, 2))
     @example(coords=(-1, 0, 1, 2))
     @example(coords=(1, 1, -1, 2))
+    # both vectors in E-NE and the diagonal (-1, 2) in N-NW: the diagonal
+    # pairs with a, the first of the two in the scan, not with b
+    @example(coords=(5, 1, 4, 3))
     def test_equals_the_scan_on_any_basis(self, coords):
         for basis in (coords, _reduce_raw(*coords)):
             for form in four_forms(*basis):
