@@ -35,11 +35,7 @@ from .lattice2d import (
 )
 from .numtheory import _inverses, _require_odd_prime
 from .render import SvgDocument, _check_extent, _lattice_svg, _slope_view, tiling_svg
-from .windmill import (
-    Solution,
-    _windmill_pair_raw,
-    all_windmill_bases,
-)
+from .windmill import Solution, _windmill_pair_raw
 
 _INPUT_BOUND = 2**62
 # windmill bases listed by `lattice`; a slope lattice has at most about p/6
@@ -284,17 +280,10 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     # range never goes unnoticed
     _check_extent(args.extent)
     s = SlopeClass(args.p, args.mu)
-    # the first two Voronoi vectors are the canonical reduced pair: the
-    # defining basis is reduced once, in the slope view that also reads the
-    # standard row off it for the report and the picture, and
-    # all_windmill_bases and minimal_vector get a basis that their own
-    # reduction returns unchanged
-    data, standard = _slope_view(s)
-    reduced = LatticeBasis(data.vectors[0], data.vectors[1])
+    data, bases, standard = _slope_view(s)
     # check the listing cap, then render and write, before printing, so that
     # a refused input, a picture out of range or an unwritable path fails
     # with no output
-    bases = all_windmill_bases(reduced)
     if bases is not None and bases.count > _BASES_LIMIT:
         raise ValueError(
             f"the lattice has {bases.count} windmill bases; "
@@ -304,7 +293,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         _write_svg(_lattice_svg(s, args.extent, data, standard), args.svg)
     print(f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}")
     print(f"reduced basis: {_fmt_vec(data.vectors[0])}, {_fmt_vec(data.vectors[1])}")
-    print(f"minimal vector: {_fmt_vec(minimal_vector(reduced))}")
+    print(f"minimal vector: {_fmt_vec(minimal_vector(LatticeBasis(*data.vectors[:2])))}")
     print(f"voronoi vectors: {', '.join(_fmt_vec(w) for w in data.vectors)}")
     print(f"voronoi cell: {', '.join(_fmt_vertex(v) for v in data.cell_vertices)}")
     if bases is None:

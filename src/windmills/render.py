@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .lattice2d import SlopeClass, VoronoiData, lambda_mu, voronoi_cell
-from .windmill import Solution, _fast_solution_raw
+from .windmill import Solution, WindmillBasisSet, _basis_set, _fast_solution_raw
 
 SCALE = 10  # pixels per lattice unit
 
@@ -109,20 +109,24 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
     """Lattice points in [-extent, extent]^2 with the shaded black windmill
     cones, the Voronoi cell, the reduced basis, and the standard black windmill
     basis when the slope carries one."""
-    return _lattice_svg(s, extent, *_slope_view(s))
+    cell, _, standard = _slope_view(s)
+    return _lattice_svg(s, extent, cell, standard)
 
 
-def _slope_view(s: SlopeClass) -> tuple[VoronoiData, tuple[int, int, int, int] | None]:
-    # The slope lattice's Voronoi data and its standard row (a, b, c, d) when
-    # the slope is black, else None.  Windmill bases exist only for mu in
-    # [2, p-2], and the kernel reads the row off the reduced pair, the first
-    # two Voronoi vectors, so the lattice is reduced once.
+def _slope_view(
+    s: SlopeClass,
+) -> tuple[VoronoiData, WindmillBasisSet | None, tuple[int, int, int, int] | None]:
+    # The slope lattice's Voronoi data, its windmill bases, and its standard
+    # row (a, b, c, d) when the slope is black.  Windmill bases exist only for
+    # mu in [2, p-2], and the kernel reads the row off the reduced pair, the
+    # first two Voronoi vectors, so the lattice is reduced, picked and slid
+    # once for the bases and the row.
     cell = voronoi_cell(lambda_mu(s))
     if s.is_infinity or not 2 <= s.mu <= s.p - 2:
-        return cell, None
+        return cell, None, None
     r, t = cell.vectors[:2]
     black, row = _fast_solution_raw(s.p, r.x, r.y, t.x, t.y)
-    return cell, row if black else None
+    return cell, _basis_set(black, row), row if black else None
 
 
 def _columns(s: SlopeClass, extent: int) -> list[tuple[int, range]]:

@@ -15,14 +15,13 @@ test, _cone_pair, of at most three pairs: the reduced pair, which fills two
 cones of one color on about five slopes in six, then the short diagonal with
 each vector of the reduced pair.  The per-slope kernel _fast_solution_raw
 takes a reduced basis, so the walk can hand one reduction to two slopes, and
-checks the row it slides to.  The object API sits on top:
-find_windmill_basis and all_windmill_bases reduce the caller's basis with
-lattice2d._reduce_raw, and the slope pair standard_black_basis and
-fast_solution_for_pair both take their row from _slope_row.  The walk and
-_slope_row reduce their slope lattices with lattice2d._reduce_slopes_raw: the
-walk in a sweep, each from its neighbour's reduced basis and the first from
-slope 0's, and _slope_row as a sweep of one.  `windmills lattice` and its
-picture read the row off the reduced pair of the Voronoi data.
+checks the row it slides to; _basis_set lists every windmill basis from
+that row, since all are translates of the standard one.  The object API sits
+on top: find_windmill_basis and all_windmill_bases reduce the caller's basis
+with lattice2d._reduce_raw, and fast_solution_for_pair, which
+standard_black_basis reads, reduces its slope lattice as a sweep of one with
+the walk's lattice2d._reduce_slopes_raw.  `windmills lattice` and its picture
+run the kernel and _basis_set on the reduced pair of the Voronoi data.
 """
 
 from __future__ import annotations
@@ -114,11 +113,14 @@ def _windmill_pair_raw(
     # for a white one, or None.  The reduced pair, taken into the upper
     # half-plane, is the answer when it fills two cones of one color; that
     # settles about five slopes in six.  Otherwise a pair needs the short
-    # diagonal w, which is no Voronoi vector of an orthogonal pair.  Negating a
-    # or b swaps a - b and a + b up to sign, so w is chosen from the dot
-    # product of the normalized pair.  w pairs with the first of a, b that
-    # lies in its partner cone: had a or b held w's own cone, the other would
-    # have completed the reduced pair.
+    # diagonal w.  Negating a or b swaps a - b and a + b up to sign, so w is
+    # chosen from the dot product of the normalized pair.  w pairs with the
+    # first of a, b that lies in its partner cone: had a or b held w's own
+    # cone, the other would have completed the reduced pair.  An orthogonal
+    # pair needs no case of its own: a quarter turn maps each cone to one of
+    # its color and the lines to the lines, so its vectors both lie in open
+    # cones, and _cone_pair has returned them, or both lie on the four lines,
+    # and neither pairs with w.
     if ay < 0:
         ax, ay = -ax, -ay
     if by < 0:
@@ -126,10 +128,7 @@ def _windmill_pair_raw(
     pair = _cone_pair(ax, ay, bx, by)
     if pair is not None:
         return pair
-    dot = ax * bx + ay * by
-    if dot == 0:
-        return None
-    if dot > 0:
+    if ax * bx + ay * by > 0:
         wx, wy = ax - bx, ay - by
     else:
         wx, wy = ax + bx, ay + by
@@ -180,9 +179,13 @@ def all_windmill_bases(b: LatticeBasis) -> WindmillBasisSet | None:
     nontrivial.
     """
     std = _standard_basis_raw(*_reduce_raw(b.u.x, b.u.y, b.v.x, b.v.y))
-    if std is None:
-        return None
-    black, (a, bb, c, d) = std
+    return None if std is None else _basis_set(*std)
+
+
+def _basis_set(black: bool, row: tuple[int, int, int, int]) -> WindmillBasisSet:
+    # The windmill bases of a lattice from its standard row (a, b, c, d) in
+    # the black frame, as _standard_basis_raw returns it.
+    a, bb, c, d = row
     # u + s*v stays in E-NE while s*(b + d) < a - c, and v - s*u in N-NW
     # while s*(a + c) < b - d, for s >= 0
     n_u = (a - c - 1) // (bb + d) + 1
@@ -214,16 +217,6 @@ def _fast_solution_raw(
     return black, row
 
 
-def _slope_row(s: SlopeClass) -> tuple[bool, tuple[int, int, int, int]]:
-    # The kernel's (black, row) on a slope lattice; 0, 1, p-1 and inf raise.
-    if s.is_infinity or s.mu in (0, 1, s.p - 1):
-        raise ValueError(
-            f"slope {'infinity' if s.is_infinity else s.mu} of p = {s.p} carries "
-            "no windmill basis; mu must lie in [2, p-2]"
-        )
-    return _fast_solution_raw(s.p, *next(_reduce_slopes_raw(s.p, (s.mu,))))
-
-
 def standard_black_basis(s: SlopeClass) -> Solution | None:
     """The unique solution encoded by the slope's black windmill bases, or None
     when the lattice carries only white bases.
@@ -231,12 +224,17 @@ def standard_black_basis(s: SlopeClass) -> Solution | None:
     The standard basis takes the lowest windmill-type vector of the E-NE cone
     and the rightmost one of the N-NW cone.
     """
-    black, row = _slope_row(s)
-    return Solution(*row, s.p) if black else None
+    black_slope, sol = fast_solution_for_pair(s)
+    return sol if black_slope == s else None
 
 
 def fast_solution_for_pair(s: SlopeClass) -> tuple[SlopeClass, Solution]:
     """The solution carried by the slope pair {mu, p - mu}, with the member of
     the pair whose lattice is black.  O(log p) integer operations."""
-    black, row = _slope_row(s)
+    if s.is_infinity or s.mu in (0, 1, s.p - 1):
+        raise ValueError(
+            f"slope {'infinity' if s.is_infinity else s.mu} of p = {s.p} carries "
+            "no windmill basis; mu must lie in [2, p-2]"
+        )
+    black, row = _fast_solution_raw(s.p, *next(_reduce_slopes_raw(s.p, (s.mu,))))
     return SlopeClass(s.p, s.mu if black else s.p - s.mu), Solution(*row, s.p)

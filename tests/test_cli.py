@@ -328,6 +328,7 @@ class TestLattice:
             (13, "03489316e0f117c22acf270488249e1ab44712d65cc5cffa8094724b2700f185"),
             (101, "006361b9344abb845fa6d037e5c3df5f488e277f948ccb2cf11ac7a6bddd5fba"),
             (103, "4b575db74a52c9bc2335614dbf5d39e0adf867a5c8ad18898ca94854ddbf729e"),
+            (1009, "5db7f91aecfc97061d864e676bc63dc39197bf3e9a24523fad164bcbd3b46311"),
         ],
     )
     def test_reports_over_every_slope_are_pinned(self, p, digest):
@@ -385,6 +386,25 @@ class TestLattice:
                 argv += ["--svg", str(tmp_path / "lattice.svg")]
             assert run(argv, capsys)[0] == 0
         assert len(effective) == 1
+
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_picks_once(self, capsys, monkeypatch, tmp_path, svg):
+        # the windmill bases, the standard solution and the picture all come
+        # from one cone pick on the reduced pair
+        real = windmill._windmill_pair_raw
+        calls = []
+
+        def counted(*basis):
+            calls.append(basis)
+            return real(*basis)
+
+        monkeypatch.setattr(windmill, "_windmill_pair_raw", counted)
+        argv = ["lattice", "13", "7"]
+        if svg:
+            argv += ["--svg", str(tmp_path / "lattice.svg")]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and "windmill bases (" in out and "standard solution: (" in out
+        assert len(calls) == 1
 
     def test_svg_runs_the_kernel_once(self, capsys, monkeypatch, tmp_path):
         # the report's standard solution and the picture's standard arrows
@@ -722,10 +742,12 @@ class TestVerify:
         assert cli.check_color(13).startswith(f"p=13, mu={mu}: ")
 
     def test_color_builds_no_windmill_basis_set(self, monkeypatch):
-        def no_set(b):
+        def no_set(*args):
             raise AssertionError("check_color needs only the cone pick")
 
-        monkeypatch.setattr(cli, "all_windmill_bases", no_set)
+        monkeypatch.setattr(windmill, "all_windmill_bases", no_set)
+        monkeypatch.setattr(windmill, "_basis_set", no_set)
+        monkeypatch.setattr(render, "_basis_set", no_set)
         assert cli.check_color(10007) is None
 
     @pytest.mark.parametrize("p", [13, 101])

@@ -107,6 +107,11 @@ class TestWindmillPair:
     # both vectors in E-NE and the diagonal (-1, 2) in N-NW: the diagonal
     # pairs with a, the first of the two in the scan, not with b
     @example(coords=(5, 1, 4, 3))
+    # orthogonal pairs: both vectors on the four lines, and both in cones
+    @example(coords=(1, 1, -1, 1))
+    @example(coords=(0, 3, 2, 0))
+    @example(coords=(2, 1, -1, 2))
+    @example(coords=(1, 2, 2, -1))
     def test_equals_the_scan_on_any_basis(self, coords):
         for basis in (coords, _reduce_raw(*coords)):
             for form in four_forms(*basis):
