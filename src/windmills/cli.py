@@ -9,9 +9,8 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from itertools import chain, islice
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable
 
 from .decomp import (
@@ -26,13 +25,7 @@ from .decomp import (
     two_squares_fixed_point,
     two_squares_grace,
 )
-from .lattice2d import (
-    IVec2,
-    LatticeBasis,
-    SlopeClass,
-    _reduce_slopes_raw,
-    minimal_vector,
-)
+from .lattice2d import IVec2, SlopeClass, _reduce_slopes_raw, _shortest
 from .numtheory import _inverses, _require_odd_prime
 from .render import SvgDocument, _check_extent, _lattice_svg, _slope_view, tiling_svg
 from .windmill import Solution, _windmill_pair_raw
@@ -80,8 +73,10 @@ def _fmt_vec(w: IVec2) -> str:
     return f"({w.x}, {w.y})"
 
 
-def _fmt_vertex(v: tuple[Fraction, Fraction]) -> str:
-    return f"({v[0]}, {v[1]})"
+def _fmt_frac(n: int, den: int) -> str:
+    # n/den in lowest terms, as str(Fraction(n, den)) prints it, for den > 0
+    g = gcd(n, den)
+    return f"{n // g}" if g == den else f"{n // g}/{den // g}"
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +275,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     # range never goes unnoticed
     _check_extent(args.extent)
     s = SlopeClass(args.p, args.mu)
-    data, bases, standard = _slope_view(s)
+    (vecs, verts, den), bases, standard = _slope_view(s)
     # check the listing cap, then render and write, before printing, so that
     # a refused input, a picture out of range or an unwritable path fails
     # with no output
@@ -290,12 +285,12 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             f"lattice lists at most {_BASES_LIMIT}"
         )
     if args.svg:
-        _write_svg(_lattice_svg(s, args.extent, data, standard), args.svg)
+        _write_svg(_lattice_svg(s, args.extent, (vecs, verts, den), standard), args.svg)
     print(f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}")
-    print(f"reduced basis: {_fmt_vec(data.vectors[0])}, {_fmt_vec(data.vectors[1])}")
-    print(f"minimal vector: {_fmt_vec(minimal_vector(LatticeBasis(*data.vectors[:2])))}")
-    print(f"voronoi vectors: {', '.join(_fmt_vec(w) for w in data.vectors)}")
-    print(f"voronoi cell: {', '.join(_fmt_vertex(v) for v in data.cell_vertices)}")
+    print(f"reduced basis: {_fmt_vec(vecs[0])}, {_fmt_vec(vecs[1])}")
+    print(f"minimal vector: {_fmt_vec(_shortest(vecs[0], vecs[1]))}")
+    print(f"voronoi vectors: {', '.join(_fmt_vec(w) for w in vecs)}")
+    print("voronoi cell:", ", ".join(f"({_fmt_frac(x, den)}, {_fmt_frac(y, den)})" for x, y in verts))
     if bases is None:
         print("no windmill basis")
     else:

@@ -247,10 +247,12 @@ def minimal_vector(b: LatticeBasis) -> IVec2:
     then the larger y, of the two canonical representatives.
     """
     red = gauss_reduce(b)
-    r, s = upper_rep(red.u), upper_rep(red.v)
-    if r.norm2() == s.norm2():
-        return max(r, s, key=lambda w: (w.x, w.y))
-    return r
+    return _shortest(upper_rep(red.u), upper_rep(red.v))
+
+
+def _shortest(r: IVec2, s: IVec2) -> IVec2:
+    # minimal_vector's tie rule, on a reduced pair already in the upper half-plane
+    return max(r, s, key=lambda w: (w.x, w.y)) if r.norm2() == s.norm2() else r
 
 
 def _voronoi_vectors_raw(b: LatticeBasis) -> tuple[list[IVec2], list[tuple[int, int]]]:
@@ -279,6 +281,13 @@ def voronoi_cell(b: LatticeBasis) -> VoronoiData:
     non-orthogonal case, one canonical representative per +- pair; the cell is
     bounded by 2<x, w> <= <w, w> over them.
     """
+    vecs, verts, den = _voronoi_cell_raw(b)
+    return VoronoiData(tuple(vecs), tuple((Fraction(x, den), Fraction(y, den)) for x, y in verts))
+
+
+def _voronoi_cell_raw(b: LatticeBasis) -> tuple[list[IVec2], list[tuple[int, int]], int]:
+    # voronoi_cell with no Fraction built: its vectors, and its vertices in
+    # order as integer numerators (nx, ny) over one positive denominator den
     vecs, half = _voronoi_vectors_raw(b)
     # one vertex between each two consecutive normals w1, w2, where the edge
     # lines 2<x, w> = <w, w> meet: (nx, ny) / den with den = 2 cross(w1, w2).
@@ -299,10 +308,7 @@ def voronoi_cell(b: LatticeBasis) -> VoronoiData:
     upper = [ny > 0 or (ny == 0 and nx > 0) for nx, ny in verts]
     k = len(verts)
     start = next(i for i in range(k) if upper[i] and not upper[(i + 1) % k])
-    cell = tuple(
-        (Fraction(nx, den), Fraction(ny, den)) for nx, ny in verts[start:] + verts[:start]
-    )
-    return VoronoiData(tuple(vecs), cell)
+    return vecs, verts[start:] + verts[:start], den
 
 
 def interlaced(f1: IVec2, f2: IVec2, g1: IVec2, g2: IVec2) -> bool:

@@ -7,10 +7,9 @@ produce byte-identical documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .lattice2d import SlopeClass, VoronoiData, lambda_mu, voronoi_cell
+from .lattice2d import SlopeClass, _voronoi_cell_raw, lambda_mu
 from .windmill import Solution, WindmillBasisSet, _basis_set, _fast_solution_raw
 
 SCALE = 10  # pixels per lattice unit
@@ -48,8 +47,8 @@ class SvgDocument:
         Path(path).write_text(self.to_xml(), encoding="utf-8")
 
 
-def _fmt(v: float | Fraction) -> str:
-    return f"{float(v):.2f}"
+def _fmt(v: float) -> str:
+    return f"{v:.2f}"
 
 
 def _check_extent(extent: int) -> None:
@@ -115,16 +114,16 @@ def lattice_svg(s: SlopeClass, extent: int) -> SvgDocument:
 
 def _slope_view(
     s: SlopeClass,
-) -> tuple[VoronoiData, WindmillBasisSet | None, tuple[int, int, int, int] | None]:
-    # The slope lattice's Voronoi data, its windmill bases, and its standard
-    # row (a, b, c, d) when the slope is black.  Windmill bases exist only for
-    # mu in [2, p-2], and the kernel reads the row off the reduced pair, the
-    # first two Voronoi vectors, so the lattice is reduced, picked and slid
-    # once for the bases and the row.
-    cell = voronoi_cell(lambda_mu(s))
+) -> tuple[tuple, WindmillBasisSet | None, tuple[int, int, int, int] | None]:
+    # The slope lattice's raw Voronoi data (vectors, vertex numerators, den),
+    # its windmill bases, and its standard row (a, b, c, d) when the slope is
+    # black.  Windmill bases exist only for mu in [2, p-2], and the kernel
+    # reads the row off the reduced pair, the first two Voronoi vectors, so
+    # the lattice is reduced, picked and slid once for the bases and the row.
+    cell = _voronoi_cell_raw(lambda_mu(s))
     if s.is_infinity or not 2 <= s.mu <= s.p - 2:
         return cell, None, None
-    r, t = cell.vectors[:2]
+    r, t = cell[0][:2]
     black, row = _fast_solution_raw(s.p, r.x, r.y, t.x, t.y)
     return cell, _basis_set(black, row), row if black else None
 
@@ -143,24 +142,24 @@ def _columns(s: SlopeClass, extent: int) -> list[tuple[int, range]]:
 
 
 def _lattice_svg(
-    s: SlopeClass, extent: int, cell: VoronoiData, standard: tuple[int, int, int, int] | None
+    s: SlopeClass, extent: int, cell: tuple, standard: tuple[int, int, int, int] | None
 ) -> SvgDocument:
-    # The picture of lattice_svg, drawn from the slope lattice's Voronoi data
-    # and its standard row (a, b, c, d), or None, which the caller has already
-    # computed: the lattice is not reduced and the kernel not run again.
+    # The picture of lattice_svg, drawn from the slope lattice's raw Voronoi
+    # data and its standard row (a, b, c, d), or None, which the caller has
+    # already computed: the lattice is not reduced and the kernel not run again.
     if s.p > _MAX_LATTICE_P:
         raise ValueError(f"lattice pictures are limited to p <= {_MAX_LATTICE_P}")
     _check_extent(extent)
     e = extent + 1  # canvas half-width in lattice units, one unit of margin
     size = 2 * e * SCALE
 
-    # one correctly rounded division of integers per coordinate, the one that
-    # float(x + e) makes, with no Fraction built for the sum
-    def px(x: int | Fraction) -> float:
-        return (x.numerator + e * x.denominator) / x.denominator * SCALE
+    # n/den maps by one division of integers, correctly rounded for the exact
+    # rational, so n/den in lowest terms or not gives the same float
+    def px(x: int, den: int = 1) -> float:
+        return (x + e * den) / den * SCALE
 
-    def py(y: int | Fraction) -> float:
-        return (e * y.denominator - y.numerator) / y.denominator * SCALE
+    def py(y: int, den: int = 1) -> float:
+        return (e * den - y) / den * SCALE
 
     lines = [
         "<defs>"
@@ -185,7 +184,8 @@ def _lattice_svg(
         pts = " ".join(f"{cx[x]},{cy[y]}" for x, y in tri)
         lines.append(f'<polygon points="{pts}" fill="{_CONE_FILL}"/>')
 
-    pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in cell.cell_vertices)
+    vecs, verts, den = cell
+    pts = " ".join(f"{_fmt(px(x, den))},{_fmt(py(y, den))}" for x, y in verts)
     lines.append(
         f'<polygon points="{pts}" fill="none" stroke="{_CELL_EDGE}" stroke-width="1.5"/>'
     )
@@ -201,8 +201,7 @@ def _lattice_svg(
             )
 
     # the first two Voronoi vectors are the canonical reduced pair
-    r, t = cell.vectors[:2]
-    for w in (r, t):
+    for w in vecs[:2]:
         lines.append(_arrow(px(0), py(0), px(w.x), py(w.y), _REDUCED_EDGE, "arr-reduced"))
 
     if standard is not None:

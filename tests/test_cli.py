@@ -21,7 +21,7 @@ from goldens import GOLDEN_ORBITS
 from oracles import odd_primes
 import windmills
 from windmills import cli, decomp, lattice2d, numtheory, render, windmill
-from windmills.lattice2d import SlopeClass
+from windmills.lattice2d import SlopeClass, lambda_mu, voronoi_cell
 from windmills.numtheory import is_prime
 from windmills.render import lattice_svg
 
@@ -386,6 +386,46 @@ class TestLattice:
                 argv += ["--svg", str(tmp_path / "lattice.svg")]
             assert run(argv, capsys)[0] == 0
         assert len(effective) == 1
+
+    @pytest.mark.parametrize("cmd", ["lattice_svg", "lattice --svg", "lattice"])
+    def test_one_kernel_call_and_no_fraction(self, capsys, monkeypatch, tmp_path, cmd):
+        # the report and the picture read the minimal vector and the cell off
+        # the one reduced pair, on plain integers: a single reduction in all,
+        # and no Fraction, which only the public voronoi_cell builds
+        real = lattice2d._reduce_raw
+        calls = []
+
+        def counted(*basis):
+            calls.append(basis)
+            return real(*basis)
+
+        def no_fraction(*args):
+            raise AssertionError("the report and the picture need no Fraction")
+
+        monkeypatch.setattr(lattice2d, "_reduce_raw", counted)
+        monkeypatch.setattr(windmill, "_reduce_raw", counted)
+        monkeypatch.setattr(lattice2d, "Fraction", no_fraction)
+        if cmd == "lattice_svg":
+            lattice_svg(SlopeClass(13, 7), 8)
+        else:
+            argv = ["lattice", "13", "7"]
+            if cmd == "lattice --svg":
+                argv += ["--svg", str(tmp_path / "lattice.svg")]
+            assert run(argv, capsys)[0] == 0
+        assert len(calls) == 1
+
+    def test_cell_text_is_str_of_the_fractions(self):
+        # each vertex coordinate n/den is printed in lowest terms, as str()
+        # prints voronoi_cell's Fraction, on every slope of the odd primes up
+        # to 103, infinity included
+        for p in odd_primes(103):
+            for mu in [*range(p), None]:
+                cell = voronoi_cell(lambda_mu(SlopeClass(p, mu))).cell_vertices
+                expected = "voronoi cell: " + ", ".join(f"({x}, {y})" for x, y in cell)
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    assert cli.main(["lattice", str(p), "inf" if mu is None else str(mu)]) == 0
+                assert expected in buf.getvalue().splitlines(), (p, mu)
 
     @pytest.mark.parametrize("svg", [False, True])
     def test_picks_once(self, capsys, monkeypatch, tmp_path, svg):

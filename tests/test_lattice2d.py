@@ -22,6 +22,8 @@ from windmills.lattice2d import (
     SlopeClass,
     _reduce_raw,
     _reduce_slopes_raw,
+    _shortest,
+    _voronoi_cell_raw,
     _voronoi_vectors_raw,
     contains,
     det,
@@ -367,6 +369,20 @@ class TestMinimalVector:
                 assert contains(s, m)
                 assert m.norm2() == min_norm2(slope_points(p, mu, p))
                 assert m == upper_rep(m)
+
+    def test_tie_rule_on_the_reduced_pair(self):
+        # the lattice report reads the minimal vector off the canonical
+        # reduced pair, the first two Voronoi vectors, with no second
+        # reduction; at p = 5, mu = 2 both are shortest and the tie goes to s
+        r, s = _voronoi_cell_raw(lambda_mu(SlopeClass(5, 2)))[0][:2]
+        assert (r, s) == (V(-2, 1), V(1, 2)) and _shortest(r, s) == s
+        ties = 0
+        for p in odd_primes(199):
+            for mu in [*range(p), None]:
+                r, s = _voronoi_cell_raw(lambda_mu(SlopeClass(p, mu)))[0][:2]
+                assert _shortest(r, s) == minimal_vector(LatticeBasis(r, s)), (p, mu)
+                ties += r.norm2() == s.norm2()
+        assert ties > 1
 
 
 class TestVoronoi:

@@ -129,6 +129,7 @@ class TestLatticeSvg:
         [
             (13, "c75b56d8af46b21c80ad103e509e3436f7fb8745aa1a2bc441fa2b1a186b5acd"),
             (101, "19cc1062cea110fbc82c616d10e8f84b57e2c3b380204aabc7156b4811eb334e"),
+            (997, "166da68c804b1acbb1caf2412290b998243dffe3a5e0db354de09fad5a88bcb0"),
         ],
     )
     def test_pictures_over_every_slope_are_pinned(self, p, digest):
