@@ -286,26 +286,28 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         )
     if args.svg:
         _write_svg(_lattice_svg(s, args.extent, (vecs, verts, den), standard), args.svg)
-    print(f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}")
-    print(f"reduced basis: {_fmt_vec(vecs[0])}, {_fmt_vec(vecs[1])}")
-    print(f"minimal vector: {_fmt_vec(_shortest(vecs[0], vecs[1]))}")
-    print(f"voronoi vectors: {', '.join(_fmt_vec(w) for w in vecs)}")
-    print("voronoi cell:", ", ".join(f"({_fmt_frac(x, den)}, {_fmt_frac(y, den)})" for x, y in verts))
+    cell = ", ".join(f"({_fmt_frac(x, den)}, {_fmt_frac(y, den)})" for x, y in verts)
+    sys.stdout.write(
+        f"p = {s.p}, mu = {'infinity' if s.is_infinity else s.mu}\n"
+        f"reduced basis: {_fmt_vec(vecs[0])}, {_fmt_vec(vecs[1])}\n"
+        f"minimal vector: {_fmt_vec(_shortest(vecs[0], vecs[1]))}\n"
+        f"voronoi vectors: {', '.join(_fmt_vec(w) for w in vecs)}\n"
+        f"voronoi cell: {cell}\n"
+    )
     if bases is None:
-        print("no windmill basis")
+        tail = "no windmill basis\n"
     else:
-        print(f"windmill color: {bases.color.value}")
-        listed = "; ".join(
-            f"{_fmt_vec(e)}, {_fmt_vec(f)}" for e, f in bases.bases()
-        )
-        print(f"windmill bases ({bases.count}): {listed}")
+        # the bases (m, f + k*m) stream by template, a chunk at a time
+        m, f = bases.m, bases.f
+        sys.stdout.write(f"windmill color: {bases.color.value}\nwindmill bases ({bases.count}): ")
+        listing = ((m.x, m.y, f.x + k * m.x, f.y + k * m.y) for k in range(bases.count))
+        _write_filled("(%d, %d), (%d, %d)", "; ", listing)
         if standard is None:
-            print(f"standard solution: none (black partner: mu = {s.p - s.mu})")
+            tail = f"\nstandard solution: none (black partner: mu = {s.p - s.mu})\n"
         else:
             a, b, c, d = standard
-            print(f"standard solution: ({a}, {b}, {c}, {d})   [{s.p} = {a}*{b} + {c}*{d}]")
-    if args.svg:
-        print(f"wrote {args.svg}")
+            tail = f"\nstandard solution: ({a}, {b}, {c}, {d})   [{s.p} = {a}*{b} + {c}*{d}]\n"
+    sys.stdout.write(tail + (f"wrote {args.svg}\n" if args.svg else ""))
     return EXIT_OK
 
 

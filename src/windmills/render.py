@@ -7,6 +7,7 @@ produce byte-identical documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .lattice2d import SlopeClass, _voronoi_cell_raw, lambda_mu
@@ -68,33 +69,31 @@ def tiling_svg(sol: Solution, extent: int) -> SvgDocument:
     if not sol.is_valid():
         raise ValueError(f"{sol} is not a valid solution")
     a, b, c, d = sol.a, sol.b, sol.c, sol.d
-    cells = [(0, 0, a, b, _TILE_LIGHT)]
-    if c * d != 0:
-        cells.append((a - d, b, d, c, _TILE_DARK))
-
-    placed = []
-    for i in range(-extent, extent + 1):
-        for j in range(-extent, extent + 1):
-            ox = i * a - j * d
-            oy = i * c + j * b
-            for x, y, w, h, fill in cells:
-                placed.append((x + ox, y + oy, w, h, fill))
-
-    min_x = min(x for x, _, _, _, _ in placed)
-    max_x = max(x + w for x, _, w, _, _ in placed)
-    min_y = min(y for _, y, _, _, _ in placed)
-    max_y = max(y + h for _, y, _, h, _ in placed)
-
-    lines = []
-    for x, y, w, h, fill in placed:
-        px = (x - min_x) * SCALE
-        py = (max_y - y - h) * SCALE
-        lines.append(
-            f'<rect x="{px}" y="{py}" width="{w * SCALE}" height="{h * SCALE}" '
-            f'fill="{fill}" stroke="{_TILE_EDGE}" stroke-width="1"/>'
-        )
-    body = "\n".join(lines) + "\n"
-    return SvgDocument((max_x - min_x) * SCALE, (max_y - min_y) * SCALE, body)
+    dark = c * d != 0
+    # is_valid gives a, b > c, d >= 0, so the translates (i*a - j*d, i*c + j*b)
+    # reach furthest at the corners (i, j) = (+-extent, +-extent); there the
+    # a x b rectangle bounds the picture left, right and below, and above it
+    # the d x c one, when drawn, since it sits on its top edge inside its width
+    left = extent * (a + d)
+    top = (extent + 1) * b + extent * c + (c if dark else 0)
+    width, height = a + 2 * left, top + extent * (b + c)
+    # one template per translate, its rectangles' size and fill baked in, and
+    # one % that fills every translate's upper-left corners in pixels
+    rect = '<rect x="%d" y="%d" width="{}" height="{}" fill="{}" stroke="{}" stroke-width="1"/>\n'
+    tile = rect.format(a * SCALE, b * SCALE, _TILE_LIGHT, _TILE_EDGE)
+    if dark:
+        tile += rect.format(d * SCALE, c * SCALE, _TILE_DARK, _TILE_EDGE)
+    window = range(-extent, extent + 1)
+    corners = [
+        ((i * a - j * d + left) * SCALE, (top - b - i * c - j * b) * SCALE)
+        for i in window
+        for j in window
+    ]
+    if dark:
+        dx, dy = (a - d) * SCALE, c * SCALE
+        corners = [(x, y, x + dx, y - dy) for x, y in corners]
+    body = (tile * len(corners)) % tuple(chain.from_iterable(corners))
+    return SvgDocument(width * SCALE, height * SCALE, body)
 
 
 def _arrow(px0: float, py0: float, px1: float, py1: float, color: str, marker: str) -> str:

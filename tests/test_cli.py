@@ -340,6 +340,35 @@ class TestLattice:
                 assert cli.main(["lattice", str(p), mu]) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "mu,digest",
+        [
+            ("2", "5dd5bfe76e6f20b89f88eb3370a4cedbf25f1d9f8d939bcb7ac8d35a9608478d"),
+            ("49996", "1a7cdc02fe981c8be697a9549315599b62c4b3e862e2bf76e99356fdefc908bb"),
+            ("99989", "12a5249b3f9438f023a53b532cab9a48c89497c1ebadb5cd1fc86d80d1b066b8"),
+        ],
+    )
+    def test_high_count_reports_are_pinned(self, capsys, mu, digest):
+        # a white slope and two black ones of 99991 with about p/6 bases, so
+        # the listing spans many chunks of the streamed writes
+        code, out, _ = run(["lattice", "99991", mu], capsys)
+        assert code == 0 and "windmill bases (16665): " in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_listing_memory_stays_bounded(self):
+        # 166 664 bases at p = 999983: the listing streams by chunks, so no
+        # object per basis and no string of the whole listing is held
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, redirect_stdout(sink):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                assert cli.main(["lattice", "999983", "2"]) == 0
+                peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
     @pytest.mark.parametrize("mu", ["7", "6"])
     def test_proves_p_prime_once(self, capsys, monkeypatch, mu):
         # 7 is a black slope of 13 and 6 a white one; neither builds a
@@ -490,10 +519,11 @@ class TestLattice:
         assert out == "" and not target.exists()
 
     def test_refuses_listing_above_cap(self, capsys, monkeypatch, tmp_path):
-        def no_listing(self):
+        def no_listing(*args):
             raise AssertionError("a refused lattice must not list its bases")
 
         monkeypatch.setattr(windmill.WindmillBasisSet, "bases", no_listing)
+        monkeypatch.setattr(cli, "_write_filled", no_listing)
         target = tmp_path / "lattice.svg"
         # mu = p - 2 has about p/6 windmill bases: 333 334 here
         code, out, err = run(["lattice", "2000003", "2000001", "--svg", str(target)], capsys)

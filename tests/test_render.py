@@ -9,6 +9,7 @@ from oracles import (
     parse_svg_circles,
     parse_svg_rects,
 )
+from windmills.decomp import enumerate_bruteforce
 from windmills.lattice2d import IVec2, SlopeClass, contains
 from windmills.render import SCALE, SvgDocument, lattice_svg, tiling_svg
 from windmills.windmill import Solution
@@ -58,6 +59,18 @@ class TestTilingSvg:
 
     def test_deterministic(self):
         assert tiling_svg(SOL_37, 2).to_xml() == tiling_svg(SOL_37, 2).to_xml()
+
+    def test_pictures_are_pinned(self):
+        # every row of S_p, degenerate rows with c*d = 0 included, at small
+        # extents, and the largest picture: the size, the corners and the
+        # order of every rectangle are in these bytes
+        h = hashlib.sha256()
+        for p in (5, 13, 37, 101):
+            for sol in sorted(enumerate_bruteforce(p)):
+                for extent in (1, 2, 3, 4):
+                    h.update(tiling_svg(sol, extent).to_xml().encode())
+        h.update(tiling_svg(SOL_37, 50).to_xml().encode())
+        assert h.hexdigest() == "d862f04a6ee8366a3196c11c8691e93d205ad4489ee1339ff98fd1d3abd33b02"
 
     def test_rejects_bad_extent(self):
         with pytest.raises(ValueError):
